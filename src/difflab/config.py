@@ -56,6 +56,14 @@ def _check_keys(mapping, allowed, where):
             raise UnknownKeyError(f"unknown key {where}.{key}")
 
 
+def _number(cast, value, where):
+    """cast(value), with a value cast cannot read reported as a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+
+
 def _gmm(node, where):
     if node is None:
         return GmmSpec()
@@ -99,9 +107,9 @@ def _algorithm(node, index):
         raise ConfigError(f"{where}.estimator must be one of {ESTIMATORS}")
     step = node.get("step_size", 0.05)
     if isinstance(step, list):
-        step = tuple(float(s) for s in step)
+        step = tuple(_number(float, s, f"{where}.step_size") for s in step)
     else:
-        step = float(step)
+        step = _number(float, step, f"{where}.step_size")
     try:
         return AlgorithmSpec(
             name=str(node["name"]),
@@ -144,10 +152,13 @@ def build_config(tree):
     _check_keys(signal, _SIGNAL_KEYS, "signal")
     if "h" not in signal:
         raise ConfigError("signal.h is required")
-    h = tuple(float(v) for v in signal["h"])
+    if not isinstance(signal["h"], list):
+        raise ConfigError("signal.h must be a list")
+    h = tuple(_number(float, v, "signal.h") for v in signal["h"])
 
     obs = signal.get("observation_variance", 0.0)
-    obs_var = np.atleast_1d(np.asarray(obs, dtype=float))
+    obs_var = np.atleast_1d(_number(lambda v: np.asarray(v, dtype=float), obs,
+                                    "signal.observation_variance"))
 
     noise = tree["noise"]
     _check_keys(noise, _NOISE_KEYS, "noise")
@@ -159,7 +170,8 @@ def build_config(tree):
         _check_keys(after, _AFTER_KEYS, "noise.after")
         if "switch_iteration" not in after:
             raise ConfigError("noise.after.switch_iteration is required")
-        switch = int(after["switch_iteration"])
+        switch = _number(int, after["switch_iteration"],
+                         "noise.after.switch_iteration")
         noise_after = _phase(after, obs_var, "noise.after")
 
     sim = tree.get("simulation") or {}
@@ -171,19 +183,23 @@ def build_config(tree):
 
     try:
         return ExperimentConfig(
-            n_nodes=int(graph.get("nodes", 0)),
+            n_nodes=_number(int, graph.get("nodes", 0), "graph.nodes"),
             h=h,
             algorithms=tuple(_algorithm(a, i) for i, a in enumerate(algos)),
             noise=phase_one,
             noise_after=noise_after,
             noise_switch_iteration=switch,
-            avg_degree=float(graph.get("avg_degree", 3.0)),
-            graph_seed=int(graph.get("seed", 7)),
+            avg_degree=_number(float, graph.get("avg_degree", 3.0),
+                               "graph.avg_degree"),
+            graph_seed=_number(int, graph.get("seed", 7), "graph.seed"),
             edge_list_path=graph.get("edge_list"),
-            input_variance=float(signal.get("input_variance", 1.0)),
-            iterations=int(sim.get("iterations", 1000)),
-            monte_carlo_runs=int(sim.get("runs", 100)),
-            seed=int(sim.get("seed", 2024)),
+            input_variance=_number(float, signal.get("input_variance", 1.0),
+                                   "signal.input_variance"),
+            iterations=_number(int, sim.get("iterations", 1000),
+                               "simulation.iterations"),
+            monte_carlo_runs=_number(int, sim.get("runs", 100),
+                                     "simulation.runs"),
+            seed=_number(int, sim.get("seed", 2024), "simulation.seed"),
             per_node_msd=bool(sim.get("per_node_msd", False)),
         )
     except InvalidArgumentError as exc:
@@ -292,7 +308,7 @@ def parse_sweep_spec(path):
     values = node.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    return param, [float(v) for v in values]
+    return param, [_number(float, v, "sweep.values") for v in values]
 
 
 def _gmm_tree(g):

@@ -112,7 +112,11 @@ class LearningCurve:
 def worker_count(n_jobs=None):
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"{THREADS_ENV}={env!r} is not an integer") from exc
     if n_jobs is not None:
         return max(1, int(n_jobs))
     return max(1, os.cpu_count() or 1)
@@ -292,10 +296,7 @@ def theory_inputs(config, algo, problem=None):
     obs = problem.obs_std() ** 2
     gamma = np.zeros((n, n))
     if spec.x.sigma_a2 > 0:
-        for l in range(n):
-            for k in range(n):
-                if adj[l, k]:
-                    gamma[l, k] = gamma_lk(obs[l], sy2[l, k], sx2[l, k])
+        gamma[adj] = gamma_lk(obs[np.nonzero(adj)[0]], sy2[adj], sx2[adj])
     z2f = algo.zeta2.final if algo.zeta2 is not None else 1.0
     A = problem.adaptation.entries if algo.share_data else np.eye(n)
     C = problem.combination.entries if algo.share_weights else np.eye(n)

@@ -128,11 +128,11 @@ def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):
     """TLS normalization ratio for link l->k.
 
     Computed from the base (outlier-free) variances of each channel:
-    (sigma_l^2 + sigma_{lk,y}^2) / sigma_{lk,x}^2.
+    (sigma_l^2 + sigma_{lk,y}^2) / sigma_{lk,x}^2. Broadcasts over arrays.
     """
-    if sigma_l2 < 0 or sigma_lk_y2 < 0:
+    if np.any(np.less(sigma_l2, 0)) or np.any(np.less(sigma_lk_y2, 0)):
         raise InvalidArgumentError("noise variances must be >= 0")
-    if sigma_lk_x2 <= 0:
+    if np.any(np.less_equal(sigma_lk_x2, 0)):
         raise InvalidArgumentError(
             "TLS ratio undefined for zero input-channel variance; "
             "use the MSE (self-link) path instead"

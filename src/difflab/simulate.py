@@ -275,7 +275,6 @@ def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
 
     W = np.zeros((R, n, L))
     delta2 = np.ones((R, E))
-    beta0 = metropolis_weights(problem.graph).entries[ls.src, ls.dst]
     active = np.ones(R, dtype=bool)
     diverged_at = np.full(R, -1, dtype=np.int64)
     sq_net = np.empty((R, iterations))

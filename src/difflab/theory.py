@@ -6,6 +6,11 @@ the true weights, the gradient covariances there, the mean error
 recursion and its spectral radius, per-node step-size bounds, and the
 steady-state network MSD.
 
+The per-link expectations are affine in R_l, I and h h^T, so every block
+is assembled from the (N, N) coefficient arrays of
+TheoryInputs.link_factors. The MSD series is summed by Smith doubling
+(R. A. Smith, 1968); see steady_state_msd.
+
 All blocks are the exact expectations of the gradient estimators the
 simulator runs, so predicted and simulated dynamics share one step-size
 convention. Cross links are assumed to run the total-correntropy path
@@ -15,7 +20,8 @@ noise throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +30,9 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .topology import validate_combination_matrix
 
-MSD_FIXED_POINT_TOL = 1e-12
-MSD_FIXED_POINT_CAP = 100_000
+MSD_DOUBLING_TOL = 1e-12
+MSD_DOUBLING_CAP = 64
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 100_000
 DENSE_EIG_MAX = 64
@@ -71,15 +76,44 @@ class TheoryInputs:
     def dim(self):
         return self.h.size
 
-    def in_neighborhood(self, l, k):
+    @cached_property
+    def link_factors(self):
+        """Per-link scalar coefficients, (N, N) arrays zero off the neighborhood.
+
+        Returns (mask, hess, q_r, q_i, q_h) with H_lk = -hess[l, k] R_l and
+        Q_lk = q_r[l, k] R_l + q_i[l, k] I - q_h[l, k] h h^T. mask holds the
+        modeled links l -> k: graph adjacency, or the nonzeros of A and C
+        without a graph, plus the self links. Self link: hess = 1,
+        q_r = obs_var_l. Cross link, with u = |h|^2 + gamma:
+        hess = (zeta2/(sigma_x2 + zeta2))^{3/2} / (zeta2 u) and, with
+        p = sigma_x2 / (zeta2^2 u^2) * (zeta2/(2 sigma_x2 + zeta2))^{3/2},
+        q_r = p u, q_i = p u sigma_x2, q_h = p sigma_x2. Computed on first
+        use, so the input arrays must not be modified afterwards.
+        """
+        eye = np.eye(self.n_nodes, dtype=bool)
         if self.graph is not None:
-            return l == k or l in self.graph.neighbors(k)
-        return self.A[l, k] != 0 or self.C[l, k] != 0 or l == k
+            mask = self.graph.adjacency_matrix() | eye
+        else:
+            mask = (self.A != 0) | (self.C != 0) | eye
+        cross = mask & ~eye
+        u = float(self.h @ self.h) + self.gamma[cross]
+        z2 = self.zeta2[cross]
+        sx2 = self.sigma_x2[cross]
+        p = sx2 / (z2 * z2 * u * u) * (z2 / (2.0 * sx2 + z2)) ** 1.5
+        hess = eye.astype(float)
+        hess[cross] = (z2 / (sx2 + z2)) ** 1.5 / (z2 * u)
+        q_r = np.diag(self.obs_var)
+        q_r[cross] = p * u
+        q_i = np.zeros_like(q_r)
+        q_i[cross] = p * u * sx2
+        q_h = np.zeros_like(q_r)
+        q_h[cross] = p * sx2
+        return mask, hess, q_r, q_i, q_h
 
 
 @dataclass(frozen=True)
 class MsdPrediction:
-    """Steady-state MSD with the fixed-point solve diagnostics."""
+    """Steady-state MSD with the doubling solve diagnostics."""
 
     msd_linear: float
     msd_db: float
@@ -97,22 +131,20 @@ class TradeoffReport:
     gradient_part: float      # Tr(R_script): gradient noise through adaptation
 
 
+def _check_link(mask, l, k):
+    if not mask[l, k]:
+        raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
+
+
 def hessian_at_optimum(inputs, l, k):
     """Expected gradient Jacobian H_lk at the true weights.
 
     Self link: -R_l. Cross link: the total-correntropy utility curvature
     -(1 / (zeta2 (|h|^2 + gamma))) * (zeta2/(sigma_x2 + zeta2))^{3/2} R_l.
     """
-    if not inputs.in_neighborhood(l, k):
-        raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
-    R_l = inputs.R[l]
-    if l == k:
-        return -R_l
-    u = float(inputs.h @ inputs.h) + inputs.gamma[l, k]
-    z2 = inputs.zeta2[l, k]
-    sx2 = inputs.sigma_x2[l, k]
-    factor = (z2 / (sx2 + z2)) ** 1.5 / (z2 * u)
-    return -factor * R_l
+    mask, hess, *_ = inputs.link_factors
+    _check_link(mask, l, k)
+    return -hess[l, k] * inputs.R[l]
 
 
 def gradient_covariance(inputs, l, k):
@@ -122,46 +154,33 @@ def gradient_covariance(inputs, l, k):
     sigma_x2 / (zeta2^2 (|h|^2+gamma))^2 * (zeta2/(2 sigma_x2+zeta2))^{3/2}
       * [(|h|^2+gamma)(R_l + sigma_x2 I) - sigma_x2 h h^T].
     """
-    if not inputs.in_neighborhood(l, k):
-        raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
-    R_l = inputs.R[l]
-    h = inputs.h
-    if l == k:
-        return inputs.obs_var[l] * R_l
-    u = float(h @ h) + inputs.gamma[l, k]
-    z2 = inputs.zeta2[l, k]
-    sx2 = inputs.sigma_x2[l, k]
-    if sx2 == 0.0:
-        return np.zeros_like(R_l)
-    pref = sx2 / (z2 * z2 * u * u) * (z2 / (2.0 * sx2 + z2)) ** 1.5
-    core = u * (R_l + sx2 * np.eye(inputs.dim)) - sx2 * np.outer(h, h)
-    return pref * core
+    mask, _, q_r, q_i, q_h = inputs.link_factors
+    _check_link(mask, l, k)
+    return (q_r[l, k] * inputs.R[l] + q_i[l, k] * np.eye(inputs.dim)
+            - q_h[l, k] * np.outer(inputs.h, inputs.h))
 
 
-def _summed_hessian(inputs, k):
-    """sum_l alpha_lk H_lk(h) over the neighborhood of k."""
-    n, L = inputs.n_nodes, inputs.dim
-    out = np.zeros((L, L))
-    for l in range(n):
-        a = inputs.A[l, k]
-        if a != 0.0 and inputs.in_neighborhood(l, k):
-            out += a * hessian_at_optimum(inputs, l, k)
-    return out
+def _block_diag(blocks):
+    """(N, L, L) blocks -> (NL, NL) block-diagonal matrix."""
+    n, L, _ = blocks.shape
+    return np.einsum("kij,km->kimj", blocks, np.eye(n)).reshape(n * L, n * L)
+
+
+def _summed_hessian(inputs):
+    """(N, L, L): sum_l alpha_lk H_lk(h) over the neighborhood of each k."""
+    _, hess, *_ = inputs.link_factors
+    return -np.tensordot(inputs.A * hess, inputs.R, axes=(0, 0))
+
 
 def _block_diag_hessian(inputs):
-    n, L = inputs.n_nodes, inputs.dim
-    H = np.zeros((n * L, n * L))
-    for k in range(n):
-        H[k * L:(k + 1) * L, k * L:(k + 1) * L] = _summed_hessian(inputs, k)
-    return H
+    return _block_diag(_summed_hessian(inputs))
 
 
 def _script_matrices(inputs):
-    """Return (A_script, M_script, H_script) block matrices."""
-    n, L = inputs.n_nodes, inputs.dim
-    A_script = np.kron(inputs.A, np.eye(L))
-    M_script = np.kron(np.diag(inputs.mu), np.eye(L))
-    return A_script, M_script, _block_diag_hessian(inputs)
+    """Return A_script = A kron I_L and D = I + M_script H_script."""
+    L = inputs.dim
+    mh = np.repeat(inputs.mu, L)[:, None] * _block_diag_hessian(inputs)
+    return np.kron(inputs.A, np.eye(L)), np.eye(mh.shape[0]) + mh
 
 
 def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
@@ -197,15 +216,14 @@ def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
 
 def mean_recursion_matrix(inputs):
     """Mean error recursion matrix B = A_script^T (I + M_script H_script) and rho(B)."""
-    A_script, M_script, H_script = _script_matrices(inputs)
-    eye = np.eye(A_script.shape[0])
-    B = A_script.T @ (eye + M_script @ H_script)
+    A_script, D = _script_matrices(inputs)
+    B = A_script.T @ D
     return B, spectral_radius(B)
 
 
 def stepsize_upper_bound(inputs, k):
     """Largest stable step size for node k: 2 / rho(sum_l alpha_lk H_lk(h))."""
-    S = _summed_hessian(inputs, k)
+    S = _summed_hessian(inputs)[k]
     rho = float(np.abs(np.linalg.eigvals(S)).max())
     if rho == 0.0:
         raise InvalidArgumentError(
@@ -216,81 +234,73 @@ def stepsize_upper_bound(inputs, k):
 
 def _noise_driver_matrices(inputs):
     """V_script (weight-exchange noise) and R_script (gradient noise)."""
-    n, L = inputs.n_nodes, inputs.dim
-    A_script, M_script, _ = _script_matrices(inputs)
-    C_blocks = np.zeros((n * L, n * L))
-    V = np.zeros((n * L, n * L))
-    for p in range(n):
-        blk = np.zeros((L, L))
-        vcoef = 0.0
-        for l in range(n):
-            if inputs.in_neighborhood(l, p):
-                a = inputs.A[l, p]
-                if a != 0.0:
-                    blk += a * a * gradient_covariance(inputs, l, p)
-                b = inputs.C[l, p]
-                if b != 0.0 and l != p:
-                    vcoef += b * b * inputs.sigma_phi2[l, p]
-        C_blocks[p * L:(p + 1) * L, p * L:(p + 1) * L] = blk
-        V[p * L:(p + 1) * L, p * L:(p + 1) * L] = vcoef * np.eye(L)
-    R_script = A_script.T @ M_script @ C_blocks @ M_script.T @ A_script
-    return V, R_script
+    L, h = inputs.dim, inputs.h
+    mask, _, q_r, q_i, q_h = inputs.link_factors
+    w = (inputs.A * inputs.mu) ** 2          # alpha_lp^2 mu_p^2
+    blocks = (np.tensordot(w * q_r, inputs.R, axes=(0, 0))
+              + (w * q_i).sum(axis=0)[:, None, None] * np.eye(L)
+              - (w * q_h).sum(axis=0)[:, None, None] * np.outer(h, h))
+    A_script = np.kron(inputs.A, np.eye(L))
+    R_script = A_script.T @ _block_diag(blocks) @ A_script
+    cross = mask & ~np.eye(inputs.n_nodes, dtype=bool)
+    vcoef = np.where(cross, inputs.C ** 2 * inputs.sigma_phi2, 0.0).sum(axis=0)
+    return np.diag(np.repeat(vcoef, L)), R_script
 
 
-def steady_state_msd(inputs, tol=MSD_FIXED_POINT_TOL, cap=MSD_FIXED_POINT_CAP):
-    """Steady-state network MSD via the Kronecker-free fixed point.
+def _prediction(msd, iterations):
+    db = 10.0 * np.log10(msd) if msd > 0 else -np.inf
+    return MsdPrediction(msd, db, True, iterations)
+
+
+def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
+    """Steady-state network MSD by Smith doubling.
 
     MSD = (1/N) vec{V + R}^T (I - F)^{-1} vec{I} with
-    F = (B_hat kron B_hat), B_hat = (I + M H) A_script. The inverse's
-    action is realized as T <- (V + R) + B_hat^T T B_hat, whose limit
-    satisfies Tr(T) = N * MSD.
+    F = (B_hat kron B_hat), B_hat = (I + M H) A_script. Equivalently
+    Tr(T) = N * MSD for T = sum_{j>=0} B_hat^T^j (V + R) B_hat^j. Starting
+    from S = V + R and P = B_hat, each squaring sets S <- S + P^T S P and
+    then P <- P^2, so after s squarings S holds the first 2^s terms.
+
+    tol bounds the Frobenius norm of the last increment P^T S P; cap is
+    the number of squarings allowed before NumericalFailureError.
+    iterations_used counts the squarings.
     """
-    A_script, M_script, H_script = _script_matrices(inputs)
-    eye = np.eye(A_script.shape[0])
-    B_hat = (eye + M_script @ H_script) @ A_script
-    rho = spectral_radius(A_script.T @ (eye + M_script @ H_script))
+    A_script, D = _script_matrices(inputs)
+    rho = spectral_radius(A_script.T @ D)
     if rho >= 1.0:
         raise InstabilityError(
             f"mean recursion is unstable (rho = {rho:.6g} >= 1)"
         )
     V, R_script = _noise_driver_matrices(inputs)
-    M0 = V + R_script
-    T = M0.copy()
-    Bt = B_hat.T
+    S = V + R_script
+    P = D @ A_script
     for it in range(1, cap + 1):
-        T_new = M0 + Bt @ T @ B_hat
-        delta = float(np.linalg.norm(T_new - T))
-        T = T_new
+        inc = P.T @ S @ P
+        S = S + inc
+        delta = float(np.linalg.norm(inc))
         if delta < tol:
-            msd = float(np.trace(T)) / inputs.n_nodes
-            return MsdPrediction(
-                msd,
-                10.0 * np.log10(msd) if msd > 0 else -np.inf,
-                True,
-                it,
-            )
+            return _prediction(float(np.trace(S)) / inputs.n_nodes, it)
+        P = P @ P
     raise NumericalFailureError(
-        f"MSD fixed point did not converge in {cap} iterations "
-        f"(last delta {delta:.3g})"
+        f"MSD doubling did not converge in {cap} squarings "
+        f"(last increment {delta:.3g})"
     )
 
 
 def steady_state_msd_bruteforce(inputs):
     """Direct (I - F)^{-1} solve with F materialized; tiny instances only."""
-    A_script, M_script, H_script = _script_matrices(inputs)
+    A_script, D = _script_matrices(inputs)
     nl = A_script.shape[0]
     if nl > 8:
         raise InvalidArgumentError("brute-force MSD limited to N*L <= 8")
     eye = np.eye(nl)
-    B_hat = (eye + M_script @ H_script) @ A_script
+    B_hat = D @ A_script
     F = np.kron(B_hat, B_hat)
     V, R_script = _noise_driver_matrices(inputs)
     vec_eye = eye.reshape(-1, order="F")
     x = np.linalg.solve(np.eye(nl * nl) - F, vec_eye)
     msd = float((V + R_script).reshape(-1, order="F") @ x) / inputs.n_nodes
-    return MsdPrediction(
-        msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, True, 0
-    )
+    return _prediction(msd, 0)
 
 
 def combination_noise_tradeoff(inputs):
@@ -305,17 +315,3 @@ def combination_noise_tradeoff(inputs):
         combination_part=float(np.trace(V)),
         gradient_part=float(np.trace(R_script)),
     )
-
-
-def validate_inputs(inputs, graph):
-    """Check the combination matrices against the graph (helper for the CLI)."""
-    from .topology import CombinationMatrix
-
-    for role, m in (("adaptation", inputs.A), ("combination", inputs.C)):
-        report = validate_combination_matrix(
-            CombinationMatrix(m, role=role), graph
-        )
-        if not report.ok:
-            raise InvalidArgumentError(
-                f"{role} matrix violates {report.constraint} at {report.indices}"
-            )

@@ -196,17 +196,28 @@ def save_edge_list(graph, path):
             fh.write(f"{u} {v}\n")
 
 
+def _edge_list_int(path, token):
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"{path}: {token!r} is not an integer") from exc
+
+
 def load_edge_list(path):
     """Parse the edge-list format written by save_edge_list."""
-    with open(path) as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.split() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read edge list: {exc}") from exc
     if not lines or lines[0][0] != "N" or len(lines[0]) != 2:
         raise InvalidArgumentError(f"{path}: first line must be 'N <n_nodes>'")
-    n = int(lines[0][1])
+    n = _edge_list_int(path, lines[0][1])
     edges = []
     for parts in lines[1:]:
         if len(parts) != 2:
             raise InvalidArgumentError(f"{path}: malformed edge line {parts}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _edge_list_int(path, parts[0]), _edge_list_int(path, parts[1])
         edges.append((min(u, v), max(u, v)))
     return NetworkGraph(n, tuple(edges))

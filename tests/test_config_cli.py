@@ -237,3 +237,29 @@ def test_cli_instability_exit_code(small_cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "monte_carlo_msd", boom)
     code = cli.main(["run", "--config", small_cfg_path])
     assert code == cli.EXIT_INSTABILITY
+
+
+def test_cli_non_numeric_override_is_parse_error(small_cfg_path, capsys):
+    code = cli.main(["validate", "--config", small_cfg_path,
+                     "--set", "graph.nodes=abc"])
+    assert code == cli.EXIT_PARSE
+    assert "graph.nodes" in capsys.readouterr().err
+
+
+def test_cli_non_integer_threads_is_validation_error(small_cfg_path, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setenv("DIFFLAB_THREADS", "abc")
+    code = cli.main(["run", "--config", small_cfg_path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_edge_list_header_is_validation_error(small_cfg_path,
+                                                      tmp_path):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("N x\n0 1\n")
+    for path in (edges, tmp_path / "missing.edges"):
+        code = cli.main(["validate", "--config", small_cfg_path,
+                         "--set", f"graph.edge_list={path}"])
+        assert code == cli.EXIT_VALIDATION

@@ -1,9 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
-from difflab.errors import InstabilityError, InvalidArgumentError
+from difflab.config import parse_config
+from difflab.errors import (
+    InstabilityError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
+from difflab.harness import theory_inputs
 from difflab.theory import (
     TheoryInputs,
+    _block_diag_hessian,
+    _noise_driver_matrices,
     combination_noise_tradeoff,
     gradient_covariance,
     hessian_at_optimum,
@@ -13,7 +23,19 @@ from difflab.theory import (
     steady_state_msd_bruteforce,
     stepsize_upper_bound,
 )
-from difflab.topology import NetworkGraph, metropolis_weights
+from difflab.topology import (
+    NetworkGraph,
+    generate_random_graph,
+    metropolis_weights,
+)
+from theory_reference import (
+    block_diag_hessian_by_links,
+    fixed_point_msd,
+    noise_drivers_by_links,
+)
+
+COMPARE_CFG = os.path.join(os.path.dirname(__file__), "..", "presets",
+                           "compare.cfg")
 
 
 def make_inputs(h, A, C, mu, obs_var, sigma_x2=0.0, sigma_y2=0.0,
@@ -220,3 +242,51 @@ def test_spectral_radius_known_values():
     m = 0.5 * (m + m.T)  # symmetric so the dominant eigenvalue is real
     assert spectral_radius(m) == pytest.approx(
         float(np.abs(np.linalg.eigvalsh(m)).max()), rel=1e-8)
+
+
+@pytest.mark.parametrize("n_nodes", [10, 50])
+def test_doubling_matches_fixed_point_on_compare(n_nodes):
+    cfg = parse_config(COMPARE_CFG, [("graph.nodes", n_nodes)])
+    ti = theory_inputs(cfg, cfg.algorithms[0])
+    fast = steady_state_msd(ti)
+    reference, steps = fixed_point_msd(ti)
+    assert fast.msd_linear == pytest.approx(reference, rel=1e-9)
+    assert fast.iterations_used < 16 < steps
+
+
+def test_doubling_cap_raises():
+    with pytest.raises(NumericalFailureError):
+        steady_state_msd(network_inputs(sigma_phi2=0.04), cap=1)
+
+
+def random_network_inputs(rng, with_graph):
+    n, L = 12, 3
+    g = generate_random_graph(n, 4.0, seed=5)
+    A = metropolis_weights(g).entries
+    G = rng.standard_normal((n, L, L))
+    return TheoryInputs(
+        h=rng.standard_normal(L),
+        R=G @ G.transpose(0, 2, 1) + np.eye(L),
+        A=A,
+        C=A.copy(),
+        mu=rng.uniform(0.01, 0.05, n),
+        obs_var=rng.uniform(0.05, 0.2, n),
+        sigma_x2=rng.uniform(0.01, 0.1, (n, n)),
+        sigma_y2=rng.uniform(0.01, 0.1, (n, n)),
+        sigma_phi2=rng.uniform(0.01, 0.1, (n, n)),
+        gamma=rng.uniform(1.0, 5.0, (n, n)),
+        zeta2=rng.uniform(0.1, 1.0, (n, n)),
+        graph=g if with_graph else None,
+    )
+
+
+@pytest.mark.parametrize("with_graph", [True, False])
+def test_vectorized_blocks_match_per_link_sums(with_graph):
+    ti = random_network_inputs(np.random.default_rng(8), with_graph)
+    np.testing.assert_allclose(_block_diag_hessian(ti),
+                               block_diag_hessian_by_links(ti),
+                               rtol=1e-12, atol=1e-15)
+    V, R_script = _noise_driver_matrices(ti)
+    V_ref, R_ref = noise_drivers_by_links(ti)
+    np.testing.assert_allclose(V, V_ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(R_script, R_ref, rtol=1e-12, atol=1e-15)

@@ -6,7 +6,8 @@ estimates over noisy channels, plus the closed-form mean and
 mean-square analysis they admit under Gaussian noise.
 """
 
-from .engine import AlgorithmSpec, KernelSchedule, NodeState, SharedSample
+from .config import ExperimentConfig
+from .engine import AlgorithmSpec, KernelSchedule
 from .errors import (
     ConfigError,
     DifflabError,
@@ -18,16 +19,14 @@ from .errors import (
     UnknownKeyError,
 )
 from .harness import (
-    ExperimentConfig,
     LearningCurve,
     convergence_iteration,
     monte_carlo_msd,
-    run_single_realization,
     steady_state_estimate,
     sweep,
     theory_vs_simulation,
 )
-from .noise import GmmSpec, LinkNoiseSpec, gamma_lk, perturb_link, sample_gmm
+from .noise import GmmSpec, LinkNoiseSpec, gamma_lk
 from .simulate import NetworkProblem, simulate_runs
 from .theory import (
     MsdPrediction,
@@ -65,9 +64,7 @@ __all__ = [
     "MsdPrediction",
     "NetworkGraph",
     "NetworkProblem",
-    "NodeState",
     "NumericalFailureError",
-    "SharedSample",
     "TheoryInputs",
     "UnknownKeyError",
     "convergence_iteration",
@@ -79,9 +76,6 @@ __all__ = [
     "mean_recursion_matrix",
     "metropolis_weights",
     "monte_carlo_msd",
-    "perturb_link",
-    "run_single_realization",
-    "sample_gmm",
     "save_edge_list",
     "simulate_runs",
     "steady_state_estimate",

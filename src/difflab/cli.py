@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .config import parse_config, parse_overrides, parse_sweep_spec
+from .config import parse_config, parse_overrides
 from .errors import (
     ConfigError,
     EmptyEnsembleError,
@@ -96,7 +96,7 @@ def _sweep_csv(rows, order):
     return "\n".join(lines) + "\n"
 
 
-def _gnuplot_script(csv_name, columns, xlabel, out_name):
+def _gnuplot_script(csv_name, columns, xlabel):
     lines = [
         "set datafile separator ','",
         f"set xlabel '{xlabel}'",
@@ -124,7 +124,7 @@ def _cmd_run(config, args):
     if args.gnuplot:
         gp = os.path.join(args.out, "learning_curve.gp")
         _write_atomic(gp, _gnuplot_script(
-            "learning_curve.csv", order, "iteration", gp))
+            "learning_curve.csv", order, "iteration"))
         written.append(gp)
     for name in order:
         c = curves[name]
@@ -135,9 +135,10 @@ def _cmd_run(config, args):
     return EXIT_OK
 
 
-def _cmd_sweep(config, args, file_spec):
-    param = args.param or (file_spec[0] if file_spec else None)
-    values = args.values or (file_spec[1] if file_spec else None)
+def _cmd_sweep(config, args):
+    file_param, file_values = config.sweep or (None, None)
+    param = args.param or file_param
+    values = args.values or file_values
     if not param or not values:
         raise InvalidArgumentError(
             "sweep needs --param and --values (or a sweep section in the config)")
@@ -148,7 +149,7 @@ def _cmd_sweep(config, args, file_spec):
     if args.gnuplot:
         gp = os.path.join(args.out, f"sweep_{param}.gp")
         _write_atomic(gp, _gnuplot_script(
-            f"sweep_{param}.csv", order, param, gp))
+            f"sweep_{param}.csv", order, param))
     for row in rows:
         cells = "  ".join(f"{n}={_fmt(row.steady_db[n])}" for n in order)
         print(f"{param}={row.value:g}  {cells}")
@@ -255,9 +256,6 @@ def main(argv=None):
         if args.per_node_msd:
             overrides.append(("simulation.per_node_msd", True))
         config = parse_config(args.config, overrides)
-        if args.command == "sweep":
-            file_spec = parse_sweep_spec(args.config)
-            return args.fn(config, args, file_spec)
         return args.fn(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

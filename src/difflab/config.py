@@ -7,6 +7,7 @@ The on-disk format is a YAML key tree with fixed sections:
     noise:       x / y / phi channel specs, optional `after` phase
     simulation:  iterations, runs, seed, per_node_msd
     algorithms:  list of per-algorithm blocks
+    sweep:       optional parameter and values for the `sweep` command
 
 Unknown keys anywhere are hard errors, and `parse_config(emit(cfg))`
 reproduces `cfg` exactly. Overrides are dotted paths into the same tree
@@ -17,13 +18,16 @@ corresponding `simulation.*` keys.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import yaml
 
 from .engine import AlgorithmSpec, ESTIMATORS, KernelSchedule
 from .errors import ConfigError, InvalidArgumentError, UnknownKeyError
-from .harness import ExperimentConfig
 from .noise import GmmSpec, LinkNoiseSpec
+from .simulate import NetworkProblem
+from .topology import generate_random_graph, load_edge_list, metropolis_weights
 
 _GMM_KEYS = {"c", "sigma_a2", "sigma_b2"}
 _SCHEDULE_KEYS = {"initial", "final", "switch_iteration"}
@@ -46,6 +50,63 @@ _SHORTHAND = {
     "seed": "simulation.seed",
     "iterations": "simulation.iterations",
 }
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full description of one simulation experiment."""
+
+    n_nodes: int
+    h: tuple
+    algorithms: tuple            # AlgorithmSpec, order preserved in outputs
+    noise: LinkNoiseSpec         # phase-one link noise + observation noise
+    noise_after: LinkNoiseSpec = None   # optional second phase
+    noise_switch_iteration: int = 0
+    avg_degree: float = 3.0
+    graph_seed: int = 7
+    edge_list_path: str = None
+    input_variance: float = 1.0
+    iterations: int = 1000
+    monte_carlo_runs: int = 100
+    seed: int = 2024
+    per_node_msd: bool = False
+    sweep: tuple = None          # (parameter, values) of the sweep section
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise InvalidArgumentError("iterations must be >= 1")
+        if self.monte_carlo_runs < 1:
+            raise InvalidArgumentError("monte_carlo_runs must be >= 1")
+        if not self.algorithms:
+            raise InvalidArgumentError("at least one algorithm is required")
+        names = [a.name for a in self.algorithms]
+        if len(set(names)) != len(names):
+            raise InvalidArgumentError("algorithm names must be unique")
+
+    def build_graph(self):
+        if self.edge_list_path:
+            return load_edge_list(self.edge_list_path)
+        return generate_random_graph(self.n_nodes, self.avg_degree,
+                                     self.graph_seed)
+
+    def noise_phases(self):
+        phases = [(0, self.noise)]
+        if self.noise_after is not None:
+            phases.append((self.noise_switch_iteration, self.noise_after))
+        return tuple(phases)
+
+    def build_problem(self):
+        graph = self.build_graph()
+        weights = metropolis_weights(graph)
+        return NetworkProblem(
+            graph=graph,
+            h=np.asarray(self.h, dtype=float),
+            adaptation=weights,
+            combination=weights,
+            noise_phases=self.noise_phases(),
+            input_variance=self.input_variance,
+            seed=self.seed,
+        )
 
 
 def _check_keys(mapping, allowed, where):
@@ -137,6 +198,19 @@ def _phase(node, obs_var, where):
     )
 
 
+def _sweep(node):
+    if node is None:
+        return None
+    _check_keys(node, _SWEEP_KEYS, "sweep")
+    param = node.get("parameter")
+    if param not in _SWEEP_PARAMS:
+        raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMS}")
+    values = node.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep.values must be a non-empty list")
+    return param, tuple(_number(float, v, "sweep.values") for v in values)
+
+
 def build_config(tree):
     """Turn a parsed key tree into a validated ExperimentConfig."""
     if not isinstance(tree, dict):
@@ -152,8 +226,8 @@ def build_config(tree):
     _check_keys(signal, _SIGNAL_KEYS, "signal")
     if "h" not in signal:
         raise ConfigError("signal.h is required")
-    if not isinstance(signal["h"], list):
-        raise ConfigError("signal.h must be a list")
+    if not isinstance(signal["h"], list) or not signal["h"]:
+        raise ConfigError("signal.h must be a non-empty list")
     h = tuple(_number(float, v, "signal.h") for v in signal["h"])
 
     obs = signal.get("observation_variance", 0.0)
@@ -201,6 +275,7 @@ def build_config(tree):
                                      "simulation.runs"),
             seed=_number(int, sim.get("seed", 2024), "simulation.seed"),
             per_node_msd=bool(sim.get("per_node_msd", False)),
+            sweep=_sweep(tree.get("sweep")),
         )
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
@@ -285,32 +360,6 @@ def parse_config_text(text, overrides=()):
     return build_config(tree)
 
 
-def parse_sweep_spec(path):
-    """The optional `sweep` section of a config file, or None.
-
-    Returns (parameter, values) for the sweep subcommand; command-line
-    --param/--values take precedence.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tree = yaml.safe_load(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-    if not isinstance(tree, dict) or "sweep" not in tree:
-        return None
-    node = tree["sweep"]
-    _check_keys(node, _SWEEP_KEYS, "sweep")
-    param = node.get("parameter")
-    if param not in _SWEEP_PARAMS:
-        raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMS}")
-    values = node.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a non-empty list")
-    return param, [_number(float, v, "sweep.values") for v in values]
-
-
 def _gmm_tree(g):
     return {"c": float(g.c), "sigma_a2": float(g.sigma_a2),
             "sigma_b2": float(g.sigma_b2)}
@@ -363,7 +412,7 @@ def config_tree(config):
             "y": _gmm_tree(config.noise_after.y),
             "phi": _gmm_tree(config.noise_after.phi),
         }
-    return {
+    tree = {
         "graph": graph,
         "signal": {
             "h": [float(v) for v in config.h],
@@ -379,6 +428,11 @@ def config_tree(config):
         },
         "algorithms": [_algo_tree(a) for a in config.algorithms],
     }
+    if config.sweep is not None:
+        param, values = config.sweep
+        tree["sweep"] = {"parameter": param,
+                         "values": [float(v) for v in values]}
+    return tree
 
 
 def emit(config):

@@ -1,10 +1,9 @@
-"""Per-iteration adapt/combine dynamics for the diffusion algorithms.
+"""Algorithm specs and the gradient estimators of the adapt step.
 
-This module holds the single-node math: gradient estimators (LMS, MCC,
-GD-TLS, MTC), the two-step adapt/combine update, and the adaptive
-combination rule. The scalar/vector functions here are the reference
-semantics; `simulate.py` runs the same update vectorized across Monte
-Carlo runs and links.
+The four gradients (LMS, MCC, MTC, GD-TLS) broadcast over leading axes:
+w and x are (..., L) arrays and y and the per-link parameters broadcast
+against their leading shape, so `simulate.py` evaluates them on whole
+(runs, links, L) batches and a test can call them on single vectors.
 
 Gradients are ascent directions of their utility functions, exactly as
 used in the weight update phi = w + mu * sum_l alpha_lk * g_lk(w).
@@ -12,26 +11,15 @@ used in the weight update phi = w + mu * sum_l alpha_lk * g_lk(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 DELTA2_FLOOR = 1e-12
-BETA_SUM_TOL = 1e-9
 
 ESTIMATORS = ("lms", "mcc", "mtc", "gdtls")
-
-
-@dataclass(frozen=True)
-class SharedSample:
-    """One (regressor, output) pair as received over a link."""
-
-    x: np.ndarray
-    y: float
-    source: int = 0
-    self_link: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,171 +83,49 @@ class AlgorithmSpec:
                                (n_nodes,)).copy()
 
 
-@dataclass
-class NodeState:
-    """Per-node filter state across one iteration."""
-
-    w: np.ndarray
-    phi: np.ndarray = None
-    delta2: dict = field(default_factory=dict)
-    beta_row: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.phi is None:
-            self.phi = self.w.copy()
-
-
-def _residual(w, sample):
-    return sample.y - float(w @ sample.x)
-
-
-def lms_gradient(w, sample):
-    """LMS ascent direction e * x with e = y - w'x."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(sample.x, dtype=float)
-    if w.shape != x.shape:
+def _residual(w, x, y):
+    """Prediction error e = y - w'x, contracted over the last axis."""
+    if np.shape(w)[-1] != np.shape(x)[-1]:
         raise InvalidArgumentError("weight/regressor dimension mismatch")
-    return _residual(w, sample) * x
+    return y - np.einsum("...l,...l->...", w, x)
 
 
-def mcc_gradient(w, sample, kernel2):
+def lms_gradient(w, x, y):
+    """LMS ascent direction e * x."""
+    e = _residual(w, x, y)
+    return e[..., None] * x
+
+
+def mcc_gradient(w, x, y, kernel2):
     """Correntropy-weighted LMS direction: exp(-e^2/(2k^2)) * e * x."""
-    if kernel2 <= 0:
-        raise InvalidArgumentError("kernel2 must be positive")
-    e = _residual(np.asarray(w, dtype=float), sample)
-    return np.exp(-e * e / (2.0 * kernel2)) * e * np.asarray(sample.x, dtype=float)
+    e = _residual(w, x, y)
+    G = np.exp(-(e * e) / (2.0 * kernel2))
+    return G[..., None] * (e[..., None] * x)
 
 
-def mtc_cost(w, sample, zeta2, gamma):
-    """Instantaneous total-correntropy utility exp(-e^2 / (2 zeta2 (|w|^2+gamma)))."""
-    if zeta2 <= 0:
-        raise InvalidArgumentError("zeta2 must be positive")
-    w = np.asarray(w, dtype=float)
-    u = float(w @ w) + gamma
-    if u <= 0:
-        raise InvalidArgumentError("|w|^2 + gamma must be positive")
-    e = _residual(w, sample)
-    return float(np.exp(-e * e / (2.0 * zeta2 * u)))
+def _normalized_gradient(w, x, y, gamma, zeta2):
+    e = _residual(w, x, y)
+    u = np.einsum("...l,...l->...", w, w) + gamma
+    if zeta2 is None:
+        G, denom = 1.0, u * u
+    else:
+        G, denom = np.exp(-(e * e) / (2.0 * zeta2 * u)), zeta2 * u * u
+    return (G * (u * e) / denom)[..., None] * x \
+        + (G * (e * e) / denom)[..., None] * w
 
 
-def mtc_gradient(w, sample, zeta2, gamma):
-    """Exact gradient of mtc_cost with respect to w.
+def mtc_gradient(w, x, y, zeta2, gamma):
+    """Gradient of the total-correntropy utility exp(-e^2/(2 zeta2 u)).
 
-    G * [(|w|^2+gamma) e x + e^2 w] / (zeta2 (|w|^2+gamma)^2).
+    G * [u e x + e^2 w] / (zeta2 u^2) with u = |w|^2 + gamma.
     """
-    if zeta2 <= 0:
-        raise InvalidArgumentError("zeta2 must be positive")
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(sample.x, dtype=float)
-    u = float(w @ w) + gamma
-    if u <= 0:
-        raise InvalidArgumentError("|w|^2 + gamma must be positive")
-    e = _residual(w, sample)
-    g_factor = np.exp(-e * e / (2.0 * zeta2 * u))
-    return g_factor * (u * e * x + e * e * w) / (zeta2 * u * u)
+    return _normalized_gradient(w, x, y, gamma, zeta2)
 
 
-def gdtls_gradient(w, sample, gamma):
+def gdtls_gradient(w, x, y, gamma):
     """Gradient-descent TLS direction: the MTC gradient with the kernel removed.
 
     Equals -1/2 the gradient of the normalized squared residual
     e^2 / (|w|^2 + gamma).
     """
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(sample.x, dtype=float)
-    u = float(w @ w) + gamma
-    if u <= 0:
-        raise InvalidArgumentError("|w|^2 + gamma must be positive")
-    e = _residual(w, sample)
-    return (u * e * x + e * e * w) / (u * u)
-
-
-@dataclass(frozen=True)
-class ReceivedSample:
-    """A shared sample with its adaptation weight and per-link parameters."""
-
-    sample: SharedSample
-    alpha: float
-    gamma: float = 0.0
-    zeta2: float = 1.0
-    kernel2: float = 1.0
-
-
-def cross_gradient(w, received, estimator):
-    """Gradient estimate for one received sample; self links always use LMS."""
-    s = received.sample
-    if s.self_link or estimator == "lms":
-        return lms_gradient(w, s)
-    if estimator == "mcc":
-        return mcc_gradient(w, s, received.kernel2)
-    if estimator == "mtc":
-        return mtc_gradient(w, s, received.zeta2, received.gamma)
-    if estimator == "gdtls":
-        return gdtls_gradient(w, s, received.gamma)
-    raise InvalidArgumentError(f"unknown estimator {estimator!r}")
-
-
-def adapt_step(w, received, estimator, mu):
-    """Adaptation step: phi = w + mu * sum_l alpha_lk g_lk(w).
-
-    received must include the self sample; the alphas must sum to one.
-    """
-    alphas = sum(r.alpha for r in received)
-    if abs(alphas - 1.0) > BETA_SUM_TOL:
-        raise InvalidArgumentError(f"adaptation weights sum to {alphas}, not 1")
-    w = np.asarray(w, dtype=float)
-    acc = np.zeros_like(w)
-    for r in received:
-        if r.alpha != 0.0:
-            acc += r.alpha * cross_gradient(w, r, estimator)
-    return w + mu * acc
-
-
-def combine_step(received_phis):
-    """Combination step: convex combination of received intermediates."""
-    total = sum(b for _, b in received_phis)
-    if abs(total - 1.0) > BETA_SUM_TOL or any(b < 0 for _, b in received_phis):
-        raise InvalidArgumentError("combination weights must be a convex combination")
-    out = None
-    for phi, b in received_phis:
-        term = b * np.asarray(phi, dtype=float)
-        out = term if out is None else out + term
-    return out
-
-
-def local_one_step(w, self_sample, mu, epsilon):
-    """Normalized one-step LMS prediction used by the adaptive rule.
-
-    The gradient is scaled by its norm so the probe step has magnitude
-    close to mu regardless of the instantaneous error. Normalizing by
-    the squared norm instead would make the step magnitude mu/|g|,
-    which is unbounded near convergence and floods the deviation
-    statistics of every link equally, so the combination weights would
-    never concentrate and never reject outliers.
-    """
-    if epsilon <= 0:
-        raise InvalidArgumentError("epsilon must be positive")
-    w = np.asarray(w, dtype=float)
-    g = lms_gradient(w, self_sample)
-    return w + mu * g / (float(np.linalg.norm(g)) + epsilon)
-
-
-def adaptive_beta_update(prev_delta2, received_phis, w_hat, chi):
-    """Smoothed inverse-deviation combination weights.
-
-    delta2_lk <- (1-chi) delta2_lk + chi |phi_lk - w_hat|^2, floored to
-    avoid division by zero; beta_lk proportional to 1/delta2_lk over the
-    neighborhood.
-    """
-    if not 0.0 < chi <= 1.0:
-        raise InvalidArgumentError("chi must be in (0, 1]")
-    w_hat = np.asarray(w_hat, dtype=float)
-    new_delta2 = {}
-    for l, phi in received_phis:
-        dev = phi - w_hat
-        new_delta2[l] = (1.0 - chi) * prev_delta2[l] + chi * float(dev @ dev)
-    inv = {l: 1.0 / max(d2, DELTA2_FLOOR) for l, d2 in new_delta2.items()}
-    total = sum(inv.values())
-    beta_row = {l: v / total for l, v in inv.items()}
-    return new_delta2, beta_row
+    return _normalized_gradient(w, x, y, gamma, None)

@@ -1,10 +1,11 @@
 """Monte Carlo driver: ensembles, learning curves, sweeps, theory comparison.
 
-A scenario is fixed by an ExperimentConfig; each algorithm is simulated
-over `monte_carlo_runs` independent realizations. Diverged realizations
-are excluded from the averages and counted, never silently dropped.
-Aggregation order is fixed by run index, so results do not depend on how
-many workers execute the ensemble.
+A scenario is fixed by an ExperimentConfig (defined in `config.py`);
+each algorithm is simulated over `monte_carlo_runs` independent
+realizations. Diverged realizations are excluded from the averages and
+counted, never silently dropped. Aggregation order is fixed by run
+index, so results do not depend on how many workers execute the
+ensemble.
 """
 
 from __future__ import annotations
@@ -16,80 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import AlgorithmSpec
 from .errors import EmptyEnsembleError, InvalidArgumentError
-from .noise import LinkNoiseSpec, gamma_lk, with_params
-from .simulate import NetworkProblem, simulate_runs
+from .noise import gamma_lk
+from .simulate import simulate_runs
 from .theory import (
-    MsdPrediction,
     TheoryInputs,
     mean_recursion_matrix,
     steady_state_msd,
     stepsize_upper_bound,
 )
-from .topology import (
-    generate_random_graph,
-    load_edge_list,
-    metropolis_weights,
-)
 
 THREADS_ENV = "DIFFLAB_THREADS"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one simulation experiment."""
-
-    n_nodes: int
-    h: tuple
-    algorithms: tuple            # AlgorithmSpec, order preserved in outputs
-    noise: LinkNoiseSpec         # phase-one link noise + observation noise
-    noise_after: LinkNoiseSpec = None   # optional second phase
-    noise_switch_iteration: int = 0
-    avg_degree: float = 3.0
-    graph_seed: int = 7
-    edge_list_path: str = None
-    input_variance: float = 1.0
-    iterations: int = 1000
-    monte_carlo_runs: int = 100
-    seed: int = 2024
-    per_node_msd: bool = False
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidArgumentError("iterations must be >= 1")
-        if self.monte_carlo_runs < 1:
-            raise InvalidArgumentError("monte_carlo_runs must be >= 1")
-        if not self.algorithms:
-            raise InvalidArgumentError("at least one algorithm is required")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise InvalidArgumentError("algorithm names must be unique")
-
-    def build_graph(self):
-        if self.edge_list_path:
-            return load_edge_list(self.edge_list_path)
-        return generate_random_graph(self.n_nodes, self.avg_degree,
-                                     self.graph_seed)
-
-    def noise_phases(self):
-        phases = [(0, self.noise)]
-        if self.noise_after is not None:
-            phases.append((self.noise_switch_iteration, self.noise_after))
-        return tuple(phases)
-
-    def build_problem(self):
-        graph = self.build_graph()
-        weights = metropolis_weights(graph)
-        return NetworkProblem(
-            graph=graph,
-            h=np.asarray(self.h, dtype=float),
-            adaptation=weights,
-            combination=weights,
-            noise_phases=self.noise_phases(),
-            input_variance=self.input_variance,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -120,18 +58,6 @@ def worker_count(n_jobs=None):
     if n_jobs is not None:
         return max(1, int(n_jobs))
     return max(1, os.cpu_count() or 1)
-
-
-def run_single_realization(config, algo, run_index):
-    """Per-iteration per-node squared errors of one realization.
-
-    Returns (sq_node, diverged_at): sq_node is (iterations, N);
-    diverged_at is -1 when the run stayed bounded.
-    """
-    problem = config.build_problem()
-    res = simulate_runs(problem, algo, [run_index], config.iterations,
-                        record_per_node=True)
-    return res.sq_node[0], int(res.diverged_at[0])
 
 
 def _simulate_chunk(args):
@@ -227,9 +153,9 @@ def _substitute(config, param, value):
                 return None
             return replace(
                 spec,
-                x=with_params(spec.x, **{param: value}),
-                y=with_params(spec.y, **{param: value}),
-                phi=with_params(spec.phi, **{param: value}),
+                x=replace(spec.x, **{param: value}),
+                y=replace(spec.y, **{param: value}),
+                phi=replace(spec.phi, **{param: value}),
             )
         return replace(config, noise=patch(config.noise),
                        noise_after=patch(config.noise_after))

@@ -3,12 +3,15 @@
 Link noise is zero-mean and either Gaussian or a two-component Gaussian
 mixture whose small-probability high-variance component models impulsive
 outliers. Exchanged regressors, outputs and intermediate weight vectors
-each have their own channel; self-links are always noiseless.
+each have their own channel; self-links are always noiseless. The
+simulator draws the standard normals and uniforms itself (see the
+randomness contract in `simulate.py`) and scales them with
+`mixture_draws`, the one mixture primitive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +39,8 @@ class GmmSpec:
     def total_variance(self):
         return (1.0 - self.c) * self.sigma_a2 + self.c * self.sigma_b2
 
-    @property
-    def is_zero(self):
-        return self.total_variance == 0.0
-
 
 ZERO_CHANNEL = GmmSpec()
-
-
-@dataclass(frozen=True)
-class LinkChannel:
-    """One directed link's channel: its mixture spec and self-link flag."""
-
-    gmm: GmmSpec
-    self_link: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +66,6 @@ class LinkNoiseSpec:
         ov.setflags(write=False)
         object.__setattr__(self, "obs_var", ov)
 
-    def channel(self, name, l, k):
-        """Channel spec for directed link l->k; zero on the self link."""
-        if l == k:
-            return LinkChannel(ZERO_CHANNEL, self_link=True)
-        return LinkChannel(getattr(self, name), self_link=False)
-
-    def node_obs_var(self, k):
-        ov = self.obs_var
-        return float(ov[k]) if ov.size > 1 else float(ov[0])
-
     # obs_var is an ndarray, so dataclass-generated equality would be
     # ambiguous; compare it elementwise instead
     def __eq__(self, other):
@@ -97,31 +78,19 @@ class LinkNoiseSpec:
         return hash((self.x, self.y, self.phi, self.obs_var.tobytes()))
 
 
-def sample_gmm(spec, rng, size=None):
-    """Draw zero-mean mixture samples: Bernoulli(c) selects the variance.
+def mixture_draws(normals, uniforms, c, std_a, std_b):
+    """Scale standard normals into zero-mean Gaussian-mixture draws.
 
-    Draw counts are independent of outcomes so streams stay aligned
-    across configs that differ only in variances.
+    A draw takes std_b where its uniform is below c and std_a elsewhere;
+    pass uniforms=None when no draw can come from the std_b component.
+    std_a and std_b broadcast against normals (per-link scales). Callers
+    draw the uniforms whether or not they select an outlier, so draw
+    counts never depend on outcomes and streams stay aligned across
+    configs that differ only in variances.
     """
-    if spec.c == 0.0:
-        return rng.standard_normal(size) * np.sqrt(spec.sigma_a2)
-    if spec.c == 1.0:
-        return rng.standard_normal(size) * np.sqrt(spec.sigma_b2)
-    outlier = rng.random(size) < spec.c
-    sigma = np.where(outlier, np.sqrt(spec.sigma_b2), np.sqrt(spec.sigma_a2))
-    return rng.standard_normal(size) * sigma
-
-
-def perturb_link(payload, channel, rng):
-    """Return payload plus per-component channel noise.
-
-    Self-links and zero-variance channels return the payload unchanged
-    (bit-exact, no draws).
-    """
-    payload = np.asarray(payload, dtype=float)
-    if channel.self_link or channel.gmm.is_zero:
-        return payload
-    return payload + sample_gmm(channel.gmm, rng, payload.shape or None)
+    if uniforms is None:
+        return normals * std_a
+    return normals * np.where(uniforms < c, std_b, std_a)
 
 
 def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):
@@ -138,8 +107,3 @@ def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):
             "use the MSE (self-link) path instead"
         )
     return (sigma_l2 + sigma_lk_y2) / sigma_lk_x2
-
-
-def with_params(spec, **kwargs):
-    """Copy a GmmSpec with some fields replaced (sweep helper)."""
-    return replace(spec, **kwargs)

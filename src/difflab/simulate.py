@@ -4,7 +4,10 @@ Runs the adapt-then-combine dynamics for a batch of Monte Carlo
 realizations at once: state arrays are (runs, nodes, dim) and link
 quantities are (runs, links, dim), with per-node neighborhoods flattened
 into a directed-link list (self links included) so neighborhood sums
-become segment reductions.
+become segment reductions. The adapt step evaluates the configured
+`engine` gradient on the cross links only and the LMS gradient on the
+self links; link noise is scaled by `noise.mixture_draws`. The per-node
+reference that tests compare this loop against is `tests/reference.py`.
 
 Randomness contract: realization r of an experiment with master seed s
 draws from `default_rng(SeedSequence(s, spawn_key=(r,)))`, one fused
@@ -17,14 +20,21 @@ bit-identical no matter how runs are batched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import DELTA2_FLOOR, AlgorithmSpec
+from .engine import (
+    DELTA2_FLOOR,
+    gdtls_gradient,
+    lms_gradient,
+    mcc_gradient,
+    mtc_gradient,
+)
 from .errors import InvalidArgumentError
-from .noise import LinkNoiseSpec
-from .topology import CombinationMatrix, NetworkGraph, metropolis_weights
+from .noise import gamma_lk, mixture_draws
+from .topology import CombinationMatrix, NetworkGraph
 
 DIVERGENCE_NORM = 1e6
 
@@ -41,6 +51,7 @@ class LinkStructure:
     is_self: np.ndarray
     seg_starts: np.ndarray
     self_idx: np.ndarray
+    cross_idx: np.ndarray
 
     @classmethod
     def from_graph(cls, graph):
@@ -53,8 +64,8 @@ class LinkStructure:
         dst = np.asarray(dst)
         is_self = src == dst
         seg_starts = np.searchsorted(dst, np.arange(graph.n_nodes))
-        self_idx = np.flatnonzero(is_self)
-        return cls(src, dst, is_self, seg_starts, self_idx)
+        return cls(src, dst, is_self, seg_starts, np.flatnonzero(is_self),
+                   np.flatnonzero(~is_self))
 
     @property
     def n_links(self):
@@ -87,6 +98,11 @@ class NetworkProblem:
             raise InvalidArgumentError("first noise phase must start at iteration 0")
         if self.input_variance <= 0:
             raise InvalidArgumentError("input variance must be positive")
+        for _, spec in self.noise_phases:
+            if spec.obs_var.size not in (1, self.graph.n_nodes):
+                raise InvalidArgumentError(
+                    f"{spec.obs_var.size} observation variances for "
+                    f"{self.graph.n_nodes} nodes; give one or one per node")
         object.__setattr__(self, "links", LinkStructure.from_graph(self.graph))
 
     @property
@@ -98,9 +114,9 @@ class NetworkProblem:
         return self.h.size
 
     def obs_std(self):
-        spec = self.noise_phases[0][1]
-        ov = np.array([spec.node_obs_var(k) for k in range(self.n_nodes)])
-        return np.sqrt(ov)
+        """Per-node observation noise std (from the first phase)."""
+        obs_var = self.noise_phases[0][1].obs_var
+        return np.sqrt(np.broadcast_to(obs_var, (self.n_nodes,)))
 
     def run_rng(self, run_index):
         return np.random.default_rng(
@@ -110,14 +126,21 @@ class NetworkProblem:
 
 @dataclass(frozen=True)
 class _PhaseParams:
-    """Per-link noise scales for one phase (zeroed on self links)."""
+    """Per-link noise scales for one phase (zero on self links).
+
+    c is each channel's outlier probability, 0 when the channel draws no
+    uniforms: a pure Gaussian, or c = 1, where every draw takes the
+    outlier scale. gamma is the TLS ratio on each cross link; tls_ok is
+    False when the input channel is noiseless, where MTC and GD-TLS fall
+    back to LMS.
+    """
 
     start: int
     c: dict
     std_a: dict
     std_b: dict
     gamma: np.ndarray
-    tls_ok: np.ndarray
+    tls_ok: bool
 
     @classmethod
     def build(cls, start, spec, links, obs_var):
@@ -125,19 +148,15 @@ class _PhaseParams:
         cross = ~links.is_self
         for name in ("x", "y", "phi"):
             g = getattr(spec, name)
-            c[name] = g.c if 0.0 < g.c < 1.0 else (1.0 if g.c == 1.0 else 0.0)
-            std_a[name] = np.where(cross, np.sqrt(g.sigma_a2), 0.0)
+            c[name] = g.c if 0.0 < g.c < 1.0 else 0.0
+            sa2 = g.sigma_b2 if g.c == 1.0 else g.sigma_a2
+            std_a[name] = np.where(cross, np.sqrt(sa2), 0.0)
             std_b[name] = np.where(cross, np.sqrt(g.sigma_b2), 0.0)
-            if g.c == 1.0:
-                std_a[name] = std_b[name]
-                c[name] = 0.0
-        sx2 = spec.x.sigma_a2
-        tls_ok = cross & (sx2 > 0)
-        gamma = np.ones(links.n_links)
-        if sx2 > 0:
-            gamma = np.where(
-                cross, (obs_var[links.src] + spec.y.sigma_a2) / sx2, 1.0
-            )
+        tls_ok = spec.x.sigma_a2 > 0
+        gamma = None
+        if tls_ok:
+            gamma = gamma_lk(obs_var[links.src[links.cross_idx]],
+                             spec.y.sigma_a2, spec.x.sigma_a2)
         return cls(start, c, std_a, std_b, gamma, tls_ok)
 
 
@@ -157,69 +176,46 @@ class _Drawer:
 
     def __init__(self, problem, use_cross_data, use_phi):
         n, L, E = problem.n_nodes, problem.dim, problem.links.n_links
-        self.n, self.L, self.E = n, L, E
-        self.use_cross_data = use_cross_data
-        self.use_phi = use_phi
+        self.n, self.L = n, L
         self.input_std = np.sqrt(problem.input_variance)
         self.obs_std = problem.obs_std()
-        p = n * L + n
-        self.sl_x = slice(p, p + E * L) if use_cross_data else None
-        p += E * L if use_cross_data else 0
-        self.sl_y = slice(p, p + E) if use_cross_data else None
-        p += E if use_cross_data else 0
-        self.sl_phi = slice(p, p + E * L) if use_phi else None
-        p += E * L if use_phi else 0
-        self.n_normals = p
-
-    def _uniform_layout(self, phase):
-        segs = []
-        if self.use_cross_data and phase.c["x"] > 0:
-            segs.append(("x", self.E * self.L))
-        if self.use_cross_data and phase.c["y"] > 0:
-            segs.append(("y", self.E))
-        if self.use_phi and phase.c["phi"] > 0:
-            segs.append(("phi", self.E * self.L))
-        return segs
+        # link channels in stream order, with their per-run shapes
+        self.channels = [("x", (E, L)), ("y", (E,))] if use_cross_data else []
+        if use_phi:
+            self.channels.append(("phi", (E, L)))
+        self.n_normals = n * L + n + sum(
+            math.prod(shape) for _, shape in self.channels)
 
     def draw(self, rngs, phase):
         R = len(rngs)
-        n, L, E = self.n, self.L, self.E
+        n, L = self.n, self.L
         normals = np.empty((R, self.n_normals))
         for r, rng in enumerate(rngs):
             normals[r] = rng.standard_normal(self.n_normals)
-        usegs = self._uniform_layout(phase)
-        uc = sum(s for _, s in usegs)
-        uniforms = None
-        if uc:
-            uniforms = np.empty((R, uc))
+        n_uniforms = sum(math.prod(shape) for name, shape in self.channels
+                         if phase.c[name] > 0)
+        if n_uniforms:
+            uniforms = np.empty((R, n_uniforms))
             for r, rng in enumerate(rngs):
-                uniforms[r] = rng.random(uc)
+                uniforms[r] = rng.random(n_uniforms)
         x_in = normals[:, : n * L].reshape(R, n, L) * self.input_std
         v_obs = normals[:, n * L : n * L + n] * self.obs_std
 
-        upos = {}
-        off = 0
-        for name, size in usegs:
-            upos[name] = slice(off, off + size)
-            off += size
-
-        def channel(name, sl, shape):
-            if sl is None:
-                return None
-            raw = normals[:, sl].reshape(shape)
-            sa = phase.std_a[name]
-            sd = sa[:, None] if len(shape) == 3 else sa
-            if name in upos:
-                u = uniforms[:, upos[name]].reshape(shape)
-                sb = phase.std_b[name]
-                sbb = sb[:, None] if len(shape) == 3 else sb
-                sd = np.where(u < phase.c[name], sbb, sd)
-            return raw * sd
-
-        nx = channel("x", self.sl_x, (R, E, L))
-        ny = channel("y", self.sl_y, (R, E))
-        nphi = channel("phi", self.sl_phi, (R, E, L))
-        return DrawBlock(x_in, v_obs, nx, ny, nphi)
+        noise = {"x": None, "y": None, "phi": None}
+        p, q = n * L + n, 0
+        for name, shape in self.channels:
+            size = math.prod(shape)
+            raw = normals[:, p : p + size].reshape((R,) + shape)
+            p += size
+            u = None
+            if phase.c[name] > 0:
+                u = uniforms[:, q : q + size].reshape((R,) + shape)
+                q += size
+            sa, sb = phase.std_a[name], phase.std_b[name]
+            if len(shape) == 2:
+                sa, sb = sa[:, None], sb[:, None]
+            noise[name] = mixture_draws(raw, u, phase.c[name], sa, sb)
+        return DrawBlock(x_in, v_obs, noise["x"], noise["y"], noise["phi"])
 
 
 @dataclass
@@ -234,11 +230,7 @@ class SimResult:
 
 
 def _phase_for(phases, i):
-    cur = phases[0]
-    for p in phases[1:]:
-        if i >= p.start:
-            cur = p
-    return cur
+    return [p for p in phases if p.start <= i][-1]
 
 
 def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
@@ -281,7 +273,9 @@ def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
     sq_node = np.empty((R, iterations, n)) if record_per_node else None
     beta_sum_err = 0.0
 
-    src, dst, starts, is_self = ls.src, ls.dst, ls.seg_starts, ls.is_self
+    src, dst, starts = ls.src, ls.dst, ls.seg_starts
+    cross, self_idx = ls.cross_idx, ls.self_idx
+    csrc, cdst = src[cross], dst[cross]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(iterations):
@@ -290,36 +284,26 @@ def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
             X, yv = d.x_in, d.v_obs
             y = np.einsum("rnl,l->rn", X, h) + yv
 
-            # self LMS gradient: the no-sharing adapt path and the
-            # adaptive rule's one-step prediction both need it
-            g_node = None
-            if not use_cross or algo.adaptive_combination:
-                e_node = y - np.einsum("rnl,rnl->rn", W, X)
-                g_node = e_node[..., None] * X
+            # the self-link LMS gradient; the adaptive rule's one-step
+            # prediction uses it too
+            g_node = lms_gradient(W, X, y)
 
             if use_cross:
-                Xs = X[:, src, :] + d.nx
-                ys = y[:, src] + d.ny
-                Wd = W[:, dst, :]
-                e = ys - np.einsum("rel,rel->re", Wd, Xs)
-                g = e[..., None] * Xs
+                Xs = X[:, csrc, :] + d.nx[:, cross]
+                ys = y[:, csrc] + d.ny[:, cross]
+                Wd = W[:, cdst, :]
                 if est == "mcc":
-                    k2 = algo.mcc_kernel2.value(i)
-                    G = np.exp(-(e * e) / (2.0 * k2))
-                    g = np.where(is_self[:, None], g, G[..., None] * g)
-                elif est in ("mtc", "gdtls"):
-                    u = np.einsum("rel,rel->re", Wd, Wd) + ph.gamma
-                    if est == "mtc":
-                        z2 = algo.zeta2.value(i)
-                        G = np.exp(-(e * e) / (2.0 * z2 * u))
-                        denom = z2 * u * u
-                    else:
-                        G = 1.0
-                        denom = u * u
-                    gc = (G * (u * e) / denom)[..., None] * Xs \
-                        + (G * (e * e) / denom)[..., None] * Wd
-                    lms_mask = ~ph.tls_ok
-                    g = np.where(lms_mask[:, None], g, gc)
+                    gc = mcc_gradient(Wd, Xs, ys, algo.mcc_kernel2.value(i))
+                elif est == "mtc" and ph.tls_ok:
+                    gc = mtc_gradient(Wd, Xs, ys, algo.zeta2.value(i),
+                                      ph.gamma)
+                elif est == "gdtls" and ph.tls_ok:
+                    gc = gdtls_gradient(Wd, Xs, ys, ph.gamma)
+                else:
+                    gc = lms_gradient(Wd, Xs, ys)
+                g = np.empty((R, E, L))
+                g[:, cross] = gc
+                g[:, self_idx] = g_node
                 phi = W + mu[None, :, None] * np.add.reduceat(
                     alpha[None, :, None] * g, starts, axis=1
                 )
@@ -365,100 +349,3 @@ def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
                 sq_node[:, i, :] = sq
 
     return SimResult(sq_net, diverged_at, sq_node, beta_sum_err, W.copy())
-
-
-def initial_states(problem):
-    """Zero-weight NodeStates with unit smoothed deviations and Metropolis betas."""
-    from .engine import NodeState
-
-    ls = problem.links
-    beta0 = metropolis_weights(problem.graph).entries
-    states = []
-    for k in range(problem.n_nodes):
-        nbrs = problem.graph.neighborhood(k)
-        states.append(NodeState(
-            w=np.zeros(problem.dim),
-            delta2={l: 1.0 for l in nbrs},
-            beta_row={l: float(beta0[l, k]) for l in nbrs},
-        ))
-    return states
-
-
-def node_iteration(problem, algo, states, iteration, draws):
-    """One synchronous network iteration, node by node.
-
-    Reference semantics built from the per-node operations in
-    `engine.py`; the vectorized loop in simulate_runs must match it.
-    `draws` is a DrawBlock for a single run (leading axis of size 1).
-    states is a list of NodeState; returns the updated list.
-    """
-    from . import engine
-
-    ls = problem.links
-    n = problem.n_nodes
-    ph = _phase_for(
-        [_PhaseParams.build(s, spec, ls, problem.obs_std() ** 2)
-         for s, spec in problem.noise_phases],
-        iteration,
-    )
-    X = draws.x_in[0]
-    y = X @ problem.h + draws.v_obs[0]
-    mu = algo.step_sizes(n)
-    z2 = algo.zeta2.value(iteration) if algo.zeta2 else 1.0
-    k2 = algo.mcc_kernel2.value(iteration) if algo.mcc_kernel2 else 1.0
-
-    link_idx = {k: [] for k in range(n)}
-    for idx in range(ls.n_links):
-        link_idx[int(ls.dst[idx])].append(idx)
-
-    self_samples = [
-        engine.SharedSample(X[k], float(y[k]), k, self_link=True) for k in range(n)
-    ]
-
-    new_states = [engine.NodeState(s.w.copy(), s.phi.copy(),
-                                   dict(s.delta2), dict(s.beta_row))
-                  for s in states]
-
-    # adapt
-    for k in range(n):
-        received = []
-        if algo.share_data:
-            for idx in link_idx[k]:
-                l = int(ls.src[idx])
-                x_lk = X[l] + draws.nx[0, idx]
-                y_lk = float(y[l] + draws.ny[0, idx])
-                sample = engine.SharedSample(x_lk, y_lk, l, self_link=(l == k))
-                received.append(engine.ReceivedSample(
-                    sample, float(problem.adaptation.entries[l, k]),
-                    gamma=float(ph.gamma[idx]), zeta2=z2, kernel2=k2))
-            est = algo.estimator
-            if est in ("mtc", "gdtls") and not ph.tls_ok.any():
-                est = "lms"
-        else:
-            received = [engine.ReceivedSample(self_samples[k], 1.0)]
-            est = "lms"
-        new_states[k].phi = engine.adapt_step(states[k].w, received, est, mu[k])
-
-    # combine
-    for k in range(n):
-        if not algo.shares_phi:
-            new_states[k].w = new_states[k].phi.copy()
-            continue
-        received_phis = []
-        for idx in link_idx[k]:
-            l = int(ls.src[idx])
-            phi_lk = new_states[l].phi + draws.nphi[0, idx]
-            received_phis.append((l, phi_lk))
-        if algo.adaptive_combination:
-            w_hat = engine.local_one_step(
-                states[k].w, self_samples[k], mu[k], algo.epsilon)
-            delta2, beta_row = engine.adaptive_beta_update(
-                states[k].delta2, received_phis, w_hat, algo.chi)
-            new_states[k].delta2 = delta2
-            new_states[k].beta_row = beta_row
-        else:
-            beta_row = {l: float(problem.combination.entries[l, k])
-                        for l, _ in received_phis}
-        new_states[k].w = engine.combine_step(
-            [(phi, beta_row[l]) for l, phi in received_phis])
-    return new_states

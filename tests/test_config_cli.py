@@ -11,12 +11,11 @@ from difflab.config import (
     parse_config,
     parse_config_text,
     parse_overrides,
-    parse_sweep_spec,
 )
 from difflab.errors import ConfigError, InstabilityError, UnknownKeyError
 
-PRESETS = sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), "..", "presets", "*.cfg")))
+PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
+PRESETS = sorted(glob.glob(os.path.join(PRESET_DIR, "*.cfg")))
 
 SMALL_CFG = """
 graph: {nodes: 5, avg_degree: 3, seed: 3}
@@ -118,14 +117,16 @@ def test_overrides():
 def test_sweep_spec(tmp_path):
     p = tmp_path / "sweep.cfg"
     p.write_text(SMALL_CFG + "\nsweep: {parameter: sigma_a2, values: [0.01, 0.04]}\n")
-    assert parse_sweep_spec(str(p)) == ("sigma_a2", [0.01, 0.04])
+    cfg = parse_config(str(p))
+    assert cfg.sweep == ("sigma_a2", (0.01, 0.04))
+    assert parse_config_text(emit(cfg)) == cfg
     q = tmp_path / "nosweep.cfg"
     q.write_text(SMALL_CFG)
-    assert parse_sweep_spec(str(q)) is None
+    assert parse_config(str(q)).sweep is None
     bad = tmp_path / "bad.cfg"
     bad.write_text(SMALL_CFG + "\nsweep: {parameter: mu, values: [1]}\n")
     with pytest.raises(ConfigError):
-        parse_sweep_spec(str(bad))
+        parse_config(str(bad))
 
 
 def test_config_tree_matches_build(small_cfg_path):
@@ -263,3 +264,34 @@ def test_cli_bad_edge_list_header_is_validation_error(small_cfg_path,
         code = cli.main(["validate", "--config", small_cfg_path,
                          "--set", f"graph.edge_list={path}"])
         assert code == cli.EXIT_VALIDATION
+
+
+def test_cli_observation_variance_length_is_validation_error(tmp_path,
+                                                              capsys):
+    code = cli.main(["run", "--config", os.path.join(PRESET_DIR, "compare.cfg"),
+                     "--out", str(tmp_path / "out"),
+                     "--set", "signal.observation_variance=[0.1,0.2]"])
+    assert code == cli.EXIT_VALIDATION
+    assert "observation variances" in capsys.readouterr().err
+
+
+def test_cli_empty_h_is_parse_error(tmp_path, capsys):
+    code = cli.main(["run", "--config", os.path.join(PRESET_DIR, "compare.cfg"),
+                     "--out", str(tmp_path / "out"), "--set", "signal.h=[]"])
+    assert code == cli.EXIT_PARSE
+    assert "signal.h" in capsys.readouterr().err
+
+
+def test_cli_sweep_section_takes_overrides(tmp_path, capsys):
+    fig3 = os.path.join(PRESET_DIR, "fig3.cfg")
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", fig3, "--out", str(out),
+                     "--runs", "1", "--set", "iterations=20",
+                     "--set", "sweep.values=[0.5]"])
+    assert code == cli.EXIT_OK
+    rows = (out / "sweep_zeta2.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.5"]
+    code = cli.main(["sweep", "--config", fig3, "--out", str(out),
+                     "--set", "sweep.bogus=1"])
+    assert code == cli.EXIT_PARSE
+    assert "sweep.bogus" in capsys.readouterr().err

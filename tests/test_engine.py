@@ -5,20 +5,22 @@ from hypothesis import given, settings, strategies as st
 from difflab.engine import (
     AlgorithmSpec,
     KernelSchedule,
+    gdtls_gradient,
+    lms_gradient,
+    mcc_gradient,
+    mtc_gradient,
+)
+from difflab.errors import InvalidArgumentError
+from reference import (
     ReceivedSample,
     SharedSample,
     adapt_step,
     adaptive_beta_update,
     combine_step,
     cross_gradient,
-    gdtls_gradient,
-    lms_gradient,
     local_one_step,
-    mcc_gradient,
     mtc_cost,
-    mtc_gradient,
 )
-from difflab.errors import InvalidArgumentError
 
 
 def fd_gradient(f, w, step=1e-6):
@@ -32,25 +34,25 @@ def fd_gradient(f, w, step=1e-6):
 
 def test_lms_gradient_examples():
     s = SharedSample(np.array([1.0, 0, 0, 0]), 1.0)
-    assert np.allclose(lms_gradient(np.zeros(4), s), [1, 0, 0, 0])
+    assert np.allclose(lms_gradient(np.zeros(4), s.x, s.y), [1, 0, 0, 0])
     w = np.array([0.4, 0.7, -0.3, 0.5])
     s2 = SharedSample(np.ones(4), 2.0)
-    assert np.allclose(lms_gradient(w, s2), 0.7 * np.ones(4))
+    assert np.allclose(lms_gradient(w, s2.x, s2.y), 0.7 * np.ones(4))
     s3 = SharedSample(np.array([2.0, 1, 0, 0]), float(w @ [2, 1, 0, 0]))
-    assert np.allclose(lms_gradient(w, s3), 0)
+    assert np.allclose(lms_gradient(w, s3.x, s3.y), 0)
 
 
 def test_lms_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
-        lms_gradient(np.zeros(3), SharedSample(np.zeros(4), 0.0))
+        lms_gradient(np.zeros(3), np.zeros(4), 0.0)
 
 
 def test_mcc_gradient_examples():
     s = SharedSample(np.array([1.0, 0, 0, 0]), 10.0)
-    g = mcc_gradient(np.zeros(4), s, 1.0)
+    g = mcc_gradient(np.zeros(4), s.x, s.y, 1.0)
     assert np.linalg.norm(g) == pytest.approx(10 * np.exp(-50), rel=1e-12)
-    big = mcc_gradient(np.zeros(4), s, 1e12)
-    assert np.allclose(big, lms_gradient(np.zeros(4), s), rtol=1e-9)
+    big = mcc_gradient(np.zeros(4), s.x, s.y, 1e12)
+    assert np.allclose(big, lms_gradient(np.zeros(4), s.x, s.y), rtol=1e-9)
 
 
 def test_mtc_cost_examples():
@@ -69,7 +71,7 @@ def test_mtc_gradient_is_cost_gradient():
         w = rng.standard_normal(4)
         s = SharedSample(rng.standard_normal(4), float(rng.standard_normal()))
         zeta2, gamma = float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5))
-        g = mtc_gradient(w, s, zeta2, gamma)
+        g = mtc_gradient(w, s.x, s.y, zeta2, gamma)
         ref = fd_gradient(lambda v: mtc_cost(v, s, zeta2, gamma), w)
         assert np.linalg.norm(g - ref) < 1e-5 * max(np.linalg.norm(ref), 1e-12)
 
@@ -85,7 +87,7 @@ def test_gdtls_gradient_is_half_neg_tls_gradient():
             e = s.y - v @ s.x
             return e * e / (v @ v + gamma)
 
-        g = gdtls_gradient(w, s, gamma)
+        g = gdtls_gradient(w, s.x, s.y, gamma)
         ref = -0.5 * fd_gradient(tls, w)
         assert np.linalg.norm(g - ref) < 1e-5 * max(np.linalg.norm(ref), 1e-12)
 
@@ -94,9 +96,37 @@ def test_mtc_limit_is_gdtls():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(4)
     s = SharedSample(rng.standard_normal(4), 1.3)
-    got = 1e10 * mtc_gradient(w, s, 1e10, 2.0)
-    want = gdtls_gradient(w, s, 2.0)
+    got = 1e10 * mtc_gradient(w, s.x, s.y, 1e10, 2.0)
+    want = gdtls_gradient(w, s.x, s.y, 2.0)
     assert np.linalg.norm(got - want) < 1e-6 * np.linalg.norm(want)
+
+
+def test_gradients_broadcast_over_leading_axes():
+    # a (runs, links, L) batch gives, row by row, the single-vector result
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((3, 5, 4))
+    x = rng.standard_normal((3, 5, 4))
+    y = rng.standard_normal((3, 5))
+    gamma = rng.uniform(0.5, 2.0, 5)
+    batched = {
+        "lms": lms_gradient(w, x, y),
+        "mcc": mcc_gradient(w, x, y, 0.7),
+        "mtc": mtc_gradient(w, x, y, 0.3, gamma),
+        "gdtls": gdtls_gradient(w, x, y, gamma),
+    }
+    for r in range(3):
+        for e in range(5):
+            args = (w[r, e], x[r, e], y[r, e])
+            single = {
+                "lms": lms_gradient(*args),
+                "mcc": mcc_gradient(*args, 0.7),
+                "mtc": mtc_gradient(*args, 0.3, gamma[e]),
+                "gdtls": gdtls_gradient(*args, gamma[e]),
+            }
+            for name, g in single.items():
+                assert g.shape == (4,)
+                assert np.allclose(batched[name][r, e], g, rtol=1e-14,
+                                   atol=0.0)
 
 
 def test_mtc_gradient_bounded_in_residual():
@@ -107,7 +137,7 @@ def test_mtc_gradient_bounded_in_residual():
     norms = []
     for e in np.logspace(-3, 6, 40):
         s = SharedSample(x, float(w @ x + e))
-        norms.append(np.linalg.norm(mtc_gradient(w, s, 0.5, 2.0)))
+        norms.append(np.linalg.norm(mtc_gradient(w, s.x, s.y, 0.5, 2.0)))
     norms = np.array(norms)
     assert np.isfinite(norms).all()
     peak = int(np.argmax(norms))
@@ -134,7 +164,7 @@ def test_adapt_step_no_sharing_is_lms():
     w = np.array([0.1, 0.2])
     s = SharedSample(np.array([1.0, -1.0]), 0.5, self_link=True)
     phi = adapt_step(w, [ReceivedSample(s, 1.0)], "lms", 0.1)
-    assert np.allclose(phi, w + 0.1 * lms_gradient(w, s))
+    assert np.allclose(phi, w + 0.1 * lms_gradient(w, s.x, s.y))
 
 
 def test_adapt_step_two_neighbor_mtc_hand_eval():
@@ -147,8 +177,8 @@ def test_adapt_step_two_neighbor_mtc_hand_eval():
     ]
     phi = adapt_step(w, rec, "mtc", 0.05)
     manual = w + 0.05 * (
-        0.6 * lms_gradient(w, self_s)
-        + 0.4 * mtc_gradient(w, cross_s, 0.2, 3.5)
+        0.6 * lms_gradient(w, self_s.x, self_s.y)
+        + 0.4 * mtc_gradient(w, cross_s.x, cross_s.y, 0.2, 3.5)
     )
     assert np.allclose(phi, manual, atol=1e-15)
 
@@ -157,7 +187,7 @@ def test_cross_gradient_self_link_always_lms():
     s = SharedSample(np.array([1.0, 0.0]), 2.0, self_link=True)
     r = ReceivedSample(s, 1.0, gamma=1.0, zeta2=0.1)
     assert np.allclose(cross_gradient(np.zeros(2), r, "mtc"),
-                       lms_gradient(np.zeros(2), s))
+                       lms_gradient(np.zeros(2), s.x, s.y))
 
 
 def test_combine_step():

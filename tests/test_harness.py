@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from difflab.config import ExperimentConfig
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import EmptyEnsembleError, InvalidArgumentError
 from difflab.harness import (
-    ExperimentConfig,
     LearningCurve,
     _substitute,
     convergence_iteration,
     monte_carlo_msd,
-    run_single_realization,
     steady_state_estimate,
     sweep,
     theory_inputs,
@@ -63,18 +62,6 @@ def test_curves_independent_of_worker_count():
     parallel = monte_carlo_msd(cfg, n_jobs=2)["dlms"]
     assert (serial.msd_linear == parallel.msd_linear).all()
     assert serial.runs_used == parallel.runs_used == 40
-
-
-def test_single_realization_matches_ensemble_row():
-    cfg = make_config(runs=3, iterations=15)
-    algo = cfg.algorithms[0]
-    sq_node, diverged = run_single_realization(cfg, algo, 2)
-    assert diverged == -1
-    cfg_pn = make_config(runs=3, iterations=15, per_node_msd=True)
-    problem = cfg_pn.build_problem()
-    from difflab.simulate import simulate_runs
-    res = simulate_runs(problem, algo, [2], 15, record_per_node=True)
-    assert (sq_node == res.sq_node[0]).all()
 
 
 def test_diverged_runs_are_counted_and_excluded():

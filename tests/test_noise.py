@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from difflab.errors import InvalidArgumentError
-from difflab.noise import (
-    GmmSpec,
-    LinkChannel,
-    LinkNoiseSpec,
-    ZERO_CHANNEL,
-    gamma_lk,
-    perturb_link,
-    sample_gmm,
-)
+from difflab.noise import GmmSpec, LinkNoiseSpec, gamma_lk, mixture_draws
+from difflab.simulate import NetworkProblem, _Drawer, _PhaseParams
+from difflab.topology import generate_random_graph, metropolis_weights
 
 
 def test_gmm_spec_validation():
@@ -22,18 +16,24 @@ def test_gmm_spec_validation():
         0.99 * 0.04 + 0.01 * 10.0)
 
 
+def sample(spec, rng, size):
+    """Mixture samples through the simulator's scaling primitive."""
+    return mixture_draws(rng.standard_normal(size), rng.random(size), spec.c,
+                         np.sqrt(spec.sigma_a2), np.sqrt(spec.sigma_b2))
+
+
 def test_degenerate_mixtures():
     rng = np.random.default_rng(0)
-    pure_a = sample_gmm(GmmSpec(0.0, 0.04, 10.0), rng, 200_000)
+    pure_a = sample(GmmSpec(0.0, 0.04, 10.0), rng, 200_000)
     assert np.var(pure_a) == pytest.approx(0.04, rel=0.03)
-    pure_b = sample_gmm(GmmSpec(1.0, 0.04, 10.0), rng, 200_000)
+    pure_b = sample(GmmSpec(1.0, 0.04, 10.0), rng, 200_000)
     assert np.var(pure_b) == pytest.approx(10.0, rel=0.03)
 
 
 def test_mixture_variance_and_mean():
     spec = GmmSpec(0.01, 0.04, 10.0)
     rng = np.random.default_rng(42)
-    x = sample_gmm(spec, rng, 1_000_000)
+    x = sample(spec, rng, 1_000_000)
     assert np.var(x) == pytest.approx(spec.total_variance, rel=0.03)
     assert abs(np.mean(x)) < 4 * np.sqrt(spec.total_variance) / 1e3
 
@@ -41,33 +41,33 @@ def test_mixture_variance_and_mean():
 def test_mixture_heavy_tails():
     spec = GmmSpec(0.05, 0.04, 10.0)
     rng = np.random.default_rng(3)
-    x = sample_gmm(spec, rng, 500_000)
+    x = sample(spec, rng, 500_000)
     kurt = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
     assert kurt > 3.0
 
 
-def test_perturb_self_link_identity():
-    rng = np.random.default_rng(0)
-    payload = np.array([1.0, -2.0, 3.0])
-    out = perturb_link(payload, LinkChannel(GmmSpec(0, 0.04, 0), self_link=True), rng)
-    assert out is payload or (out == payload).all()
-    # no draws consumed: next sample matches a fresh stream
-    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+def test_drawer_self_links_noiseless():
+    graph = generate_random_graph(6, 3, seed=1)
+    w = metropolis_weights(graph)
+    mixed = GmmSpec(0.3, 0.04, 10.0)
+    spec = LinkNoiseSpec(x=mixed, y=mixed, phi=mixed, obs_var=np.array([0.1]))
+    problem = NetworkProblem(graph, np.ones(3), w, w, ((0, spec),))
+    ls = problem.links
+    phase = _PhaseParams.build(0, spec, ls, problem.obs_std() ** 2)
+    rngs = [problem.run_rng(r) for r in range(4)]
+    d = _Drawer(problem, True, True).draw(rngs, phase)
+    for noise in (d.nx, d.ny, d.nphi):
+        assert (noise[:, ls.self_idx] == 0.0).all()
+        assert (noise[:, ls.cross_idx] != 0.0).all()
 
 
-def test_perturb_zero_variance_identity():
-    rng = np.random.default_rng(0)
-    payload = np.array([1.0, 2.0])
-    out = perturb_link(payload, LinkChannel(ZERO_CHANNEL), rng)
-    assert (out == payload).all()
-
-
-def test_perturb_vector_variance():
+def test_mixture_draws_per_link_scales():
     rng = np.random.default_rng(5)
-    payload = np.zeros(4)
-    ch = LinkChannel(GmmSpec(0.0, 0.04, 0.0))
-    draws = np.array([perturb_link(payload, ch, rng) for _ in range(250_000)])
-    assert np.allclose(draws.var(axis=0), 0.04, rtol=0.03)
+    std = np.array([0.2, 0.5, 1.0, 0.0])
+    draws = mixture_draws(rng.standard_normal((250_000, 4)), None, 0.0,
+                          std, 10 * std)
+    assert np.allclose(draws.var(axis=0), std ** 2, rtol=0.03)
+    assert (draws[:, 3] == 0.0).all()
 
 
 def test_gamma_lk_values():
@@ -83,10 +83,8 @@ def test_link_noise_spec_channels():
     spec = LinkNoiseSpec(
         x=GmmSpec(0, 0.04, 0), y=GmmSpec(0, 0.02, 0),
         phi=GmmSpec(0.01, 0.04, 10.0), obs_var=np.array([0.1, 0.2]))
-    assert spec.channel("x", 1, 1).self_link
-    assert spec.channel("x", 1, 1).gmm.is_zero
-    assert spec.channel("phi", 0, 1).gmm.c == 0.01
-    assert spec.node_obs_var(1) == 0.2
+    assert spec.phi.c == 0.01
+    assert spec.obs_var[1] == 0.2
 
 
 def test_link_noise_spec_equality():

@@ -9,11 +9,10 @@ from difflab.simulate import (
     _Drawer,
     _PhaseParams,
     _phase_for,
-    initial_states,
-    node_iteration,
     simulate_runs,
 )
 from difflab.topology import generate_random_graph, metropolis_weights
+from reference import initial_states, node_iteration
 
 H = np.array([0.4, 0.7, -0.3, 0.5])
 

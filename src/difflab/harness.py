@@ -3,9 +3,9 @@
 A scenario is fixed by an ExperimentConfig (defined in `config.py`);
 each algorithm is simulated over `monte_carlo_runs` independent
 realizations. Diverged realizations are excluded from the averages and
-counted, never silently dropped. Aggregation order is fixed by run
-index, so results do not depend on how many workers execute the
-ensemble.
+counted, never silently dropped. Good runs are added to the ensemble
+sums one at a time in run-index order, so the curves are bit-identical
+however the runs are split into tasks and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +30,11 @@ from .theory import (
 )
 
 THREADS_ENV = "DIFFLAB_THREADS"
+# Runs per pool task. Throughput per run is flat from MIN_TASK_RUNS up;
+# the caps bound the (runs, iterations[, N]) records one task returns.
+MIN_TASK_RUNS = 16
+MAX_TASK_RUNS = 64
+MAX_TASK_RUNS_PER_NODE = 16
 
 
 @dataclass
@@ -60,67 +67,77 @@ def worker_count(n_jobs=None):
     return max(1, os.cpu_count() or 1)
 
 
-def _simulate_chunk(args):
+def _simulate_task(args):
     problem, algo, run_indices, iterations, per_node, track_beta = args
     return simulate_runs(problem, algo, run_indices, iterations,
                          record_per_node=per_node, track_beta=track_beta)
 
 
-def _ensemble(problem, algo, runs, iterations, per_node, track_beta, workers):
-    chunk = 16 if per_node else 64
-    chunks = [list(range(s, min(s + chunk, runs)))
-              for s in range(0, runs, chunk)]
-    args = [(problem, algo, c, iterations, per_node, track_beta)
-            for c in chunks]
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_chunk, args))
-    else:
-        results = [_simulate_chunk(a) for a in args]
+def _simulated(tasks, workers):
+    """simulate_runs results of tasks in task order, one at a time.
 
-    n = problem.n_nodes
-    sq_sum = np.zeros(iterations)
-    node_sum = np.zeros((iterations, n)) if per_node else None
-    used = 0
-    diverged = 0
-    beta_err = 0.0
-    for res in results:
-        good = res.diverged_at < 0
-        used += int(good.sum())
-        diverged += int((~good).sum())
-        sq_sum += res.sq_net[good].sum(axis=0)
-        if per_node:
-            node_sum += res.sq_node[good].sum(axis=0)
-        beta_err = max(beta_err, res.beta_sum_err)
-    if used == 0:
-        raise EmptyEnsembleError(
-            f"all {runs} runs of {algo.name!r} diverged"
-        )
-    return sq_sum, node_sum, used, diverged, beta_err
+    With more than one worker the tasks go to one process pool; closing
+    the generator early cancels the tasks that have not started.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        yield from map(_simulate_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_simulate_task, tasks)
 
 
 def monte_carlo_msd(config, n_jobs=None, track_beta=False):
     """Learning curves for every configured algorithm.
 
     MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2.
+
+    Each algorithm's runs are split into contiguous run-index ranges of
+    near-equal size: one per worker but at most one per MIN_TASK_RUNS
+    runs, and more where a range would exceed the task cap. The ranges
+    of all algorithms, in config order, share one process pool.
     """
     problem = config.build_problem()
+    runs, iterations = config.monte_carlo_runs, config.iterations
+    per_node = config.per_node_msd
     workers = worker_count(n_jobs)
+    cap = MAX_TASK_RUNS_PER_NODE if per_node else MAX_TASK_RUNS
+    n_ranges = max(math.ceil(runs / cap),
+                   min(workers, math.ceil(runs / MIN_TASK_RUNS)))
+    bounds = [runs * i // n_ranges for i in range(n_ranges + 1)]
+    tasks = [(problem, algo, list(range(lo, hi)), iterations, per_node,
+              track_beta and algo.adaptive_combination)
+             for algo in config.algorithms
+             for lo, hi in zip(bounds, bounds[1:])]
+    n = problem.n_nodes
     curves = {}
-    for algo in config.algorithms:
-        sq_sum, node_sum, used, diverged, beta_err = _ensemble(
-            problem, algo, config.monte_carlo_runs, config.iterations,
-            config.per_node_msd, track_beta and algo.adaptive_combination,
-            workers,
-        )
-        curves[algo.name] = LearningCurve(
-            name=algo.name,
-            msd_linear=sq_sum / (used * problem.n_nodes),
-            runs_used=used,
-            diverged_runs=diverged,
-            per_node=None if node_sum is None else node_sum / used,
-            beta_sum_err=beta_err,
-        )
+    with closing(_simulated(tasks, workers)) as results:
+        for algo in config.algorithms:
+            sq_sum = np.zeros(iterations)
+            node_sum = np.zeros((iterations, n)) if per_node else None
+            diverged = 0
+            beta_err = 0.0
+            for res in islice(results, n_ranges):
+                good = np.flatnonzero(res.diverged_at < 0)
+                for r in good:
+                    sq_sum += res.sq_net[r]
+                    if per_node:
+                        node_sum += res.sq_node[r]
+                diverged += res.diverged_at.size - good.size
+                beta_err = max(beta_err, res.beta_sum_err)
+            used = runs - diverged
+            if used == 0:
+                raise EmptyEnsembleError(
+                    f"all {runs} runs of {algo.name!r} diverged"
+                )
+            curves[algo.name] = LearningCurve(
+                name=algo.name,
+                msd_linear=sq_sum / (used * n),
+                runs_used=used,
+                diverged_runs=diverged,
+                per_node=None if node_sum is None else node_sum / used,
+                beta_sum_err=beta_err,
+            )
     return curves
 
 
@@ -262,7 +279,7 @@ def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
     for ph in phases:
         for name in ("x", "y", "phi"):
             g = getattr(ph, name)
-            if 0.0 < g.c < 1.0 and g.sigma_b2 != g.sigma_a2:
+            if g.c > 0.0 and g.sigma_b2 != g.sigma_a2:
                 raise InvalidArgumentError(
                     "theory comparison requires pure Gaussian link noise")
     algos = [a for a in config.algorithms

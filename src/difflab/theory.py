@@ -121,16 +121,6 @@ class MsdPrediction:
     iterations_used: int
 
 
-@dataclass(frozen=True)
-class TradeoffReport:
-    """Trace decomposition of the steady-state noise drivers."""
-
-    total: float
-    per_node: np.ndarray
-    combination_part: float   # Tr(V): weight-exchange noise
-    gradient_part: float      # Tr(R_script): gradient noise through adaptation
-
-
 def _check_link(mask, l, k):
     if not mask[l, k]:
         raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
@@ -284,34 +274,4 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
     raise NumericalFailureError(
         f"MSD doubling did not converge in {cap} squarings "
         f"(last increment {delta:.3g})"
-    )
-
-
-def steady_state_msd_bruteforce(inputs):
-    """Direct (I - F)^{-1} solve with F materialized; tiny instances only."""
-    A_script, D = _script_matrices(inputs)
-    nl = A_script.shape[0]
-    if nl > 8:
-        raise InvalidArgumentError("brute-force MSD limited to N*L <= 8")
-    eye = np.eye(nl)
-    B_hat = D @ A_script
-    F = np.kron(B_hat, B_hat)
-    V, R_script = _noise_driver_matrices(inputs)
-    vec_eye = eye.reshape(-1, order="F")
-    x = np.linalg.solve(np.eye(nl * nl) - F, vec_eye)
-    msd = float((V + R_script).reshape(-1, order="F") @ x) / inputs.n_nodes
-    return _prediction(msd, 0)
-
-
-def combination_noise_tradeoff(inputs):
-    """Tr(V + R) total and per node; compares combination strategies."""
-    V, R_script = _noise_driver_matrices(inputs)
-    L = inputs.dim
-    diag = np.diag(V + R_script)
-    per_node = diag.reshape(inputs.n_nodes, L).sum(axis=1)
-    return TradeoffReport(
-        total=float(diag.sum()),
-        per_node=per_node,
-        combination_part=float(np.trace(V)),
-        gradient_part=float(np.trace(R_script)),
     )

@@ -28,11 +28,11 @@ from difflab.theory import (
     TheoryInputs,
     mean_recursion_matrix,
     steady_state_msd,
-    steady_state_msd_bruteforce,
     stepsize_upper_bound,
 )
 from difflab.topology import NetworkGraph, metropolis_weights
 from reference import SharedSample, mtc_cost
+from theory_reference import steady_state_msd_bruteforce
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 
@@ -246,7 +246,7 @@ def test_criterion_5_asymptotic_unbiasedness():
 def test_criterion_6_theory_vs_simulation_gap():
     t0 = time.perf_counter()
     cfg = preset("compare.cfg")
-    rep = theory_vs_simulation(cfg, algo_name="dmtc", n_jobs=1)
+    rep = theory_vs_simulation(cfg, algo_name="dmtc", n_jobs=2)
     elapsed = time.perf_counter() - t0
     assert rep.diverged_runs == 0
     assert abs(rep.gap_db) < 2.0
@@ -260,7 +260,7 @@ def test_criterion_6_theory_vs_simulation_gap():
 def test_criterion_7_qualitative_orderings():
     t0 = time.perf_counter()
     cfg = preset("fig1.cfg")
-    curves = monte_carlo_msd(cfg, n_jobs=1)
+    curves = monte_carlo_msd(cfg, n_jobs=2)
     gauss = {n: window_db(c, 1600, 2000) for n, c in curves.items()}
     gmm = {n: window_db(c, 3600, 4000) for n, c in curves.items()}
 
@@ -282,7 +282,7 @@ def test_criterion_7_qualitative_orderings():
     steady, conv = {}, {}
     for v in values:
         sub = _substitute(sweep_cfg, "zeta2", v)
-        curve = monte_carlo_msd(sub, n_jobs=1)["ac-dmtc"]
+        curve = monte_carlo_msd(sub, n_jobs=2)["ac-dmtc"]
         steady[v] = window_db(curve, 3600, 4000)
         from difflab.harness import LearningCurve
         gauss_part = LearningCurve("g", curve.msd_linear[:2000],

@@ -232,6 +232,20 @@ def test_cli_compare(tmp_path, capsys):
     assert "gap_db=" in text
 
 
+def test_cli_compare_refuses_all_outlier_link_noise(tmp_path, capsys):
+    # c = 1 draws every link sample at sigma_b2, which the Gaussian
+    # analysis (evaluated at sigma_a2) does not model
+    sets = []
+    for ch in ("x", "y", "phi"):
+        sets += ["--set", f"noise.{ch}.c=1", "--set", f"noise.{ch}.sigma_b2=1.0"]
+    code = cli.main(["compare", "--config",
+                     os.path.join(PRESET_DIR, "compare.cfg"),
+                     "--out", str(tmp_path / "out"), "--runs", "2", *sets])
+    assert code == cli.EXIT_VALIDATION
+    assert "pure Gaussian" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compare_report.txt").exists()
+
+
 def test_cli_instability_exit_code(small_cfg_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise InstabilityError("unstable")

@@ -1,6 +1,10 @@
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from difflab import harness
 from difflab.config import ExperimentConfig
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import EmptyEnsembleError, InvalidArgumentError
@@ -16,6 +20,7 @@ from difflab.harness import (
     worker_count,
 )
 from difflab.noise import GmmSpec, LinkNoiseSpec
+from difflab.simulate import simulate_runs
 
 H = (0.4, 0.7, -0.3, 0.5)
 GAUSS = GmmSpec(0.0, 0.04, 0.0)
@@ -57,11 +62,98 @@ def test_worker_count_env_override(monkeypatch):
 
 
 def test_curves_independent_of_worker_count():
-    cfg = make_config(runs=40, iterations=20)
-    serial = monte_carlo_msd(cfg, n_jobs=1)["dlms"]
-    parallel = monte_carlo_msd(cfg, n_jobs=2)["dlms"]
-    assert (serial.msd_linear == parallel.msd_linear).all()
-    assert serial.runs_used == parallel.runs_used == 40
+    # 37 runs: no range size divides them, so every split is uneven; the
+    # step size of "wild" makes some of its runs diverge
+    wild = AlgorithmSpec("wild", step_size=1.4)
+    ac = AlgorithmSpec("ac", adaptive_combination=True, share_weights=False,
+                       step_size=0.1)
+    cfg = make_config(algorithms=(wild, ac), runs=37, iterations=80)
+    problem = cfg.build_problem()
+    res = simulate_runs(problem, wild, list(range(37)), 80,
+                        record_per_node=True)
+    good = np.flatnonzero(res.diverged_at < 0)
+    assert 0 < good.size < 37
+    ref, ref_node = np.zeros(80), np.zeros((80, cfg.n_nodes))
+    for r in good:
+        ref += res.sq_net[r]
+        ref_node += res.sq_node[r]
+    ref /= good.size * cfg.n_nodes
+    ref_node /= good.size
+
+    def fields(curve):
+        return (curve.msd_linear.tobytes(), curve.runs_used,
+                curve.diverged_runs, curve.beta_sum_err)
+
+    per_node_cfg = replace(cfg, per_node_msd=True)
+    cases = [monte_carlo_msd(c, n_jobs=j, track_beta=True)
+             for c in (cfg, per_node_cfg) for j in (1, 2, 3)]
+    for name in ("wild", "ac"):
+        assert len({fields(c[name]) for c in cases}) == 1
+        assert len({c[name].per_node.tobytes() for c in cases[3:]}) == 1
+    assert (cases[0]["wild"].msd_linear == ref).all()
+    assert (cases[3]["wild"].per_node == ref_node).all()
+    assert cases[0]["wild"].runs_used == good.size
+    assert cases[0]["ac"].beta_sum_err > 0.0
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs here."""
+
+    def __init__(self, made, max_workers):
+        self.max_workers = max_workers
+        self.closed = False
+        made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed = True
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_one_pool_per_call_capped_at_task_count(monkeypatch):
+    made = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: InProcessPool(made, max_workers))
+    monkeypatch.setenv("DIFFLAB_THREADS", "64")
+    algos = (AlgorithmSpec("a", step_size=0.1),
+             AlgorithmSpec("b", step_size=0.05))
+    # 40 runs: ceil(40 / 16) = 3 ranges per algorithm, 6 tasks in all
+    cfg = make_config(algorithms=algos, runs=40, iterations=20)
+    pooled = monte_carlo_msd(cfg)
+    assert [p.max_workers for p in made] == [6]
+    assert made[0].closed
+    monkeypatch.delenv("DIFFLAB_THREADS")
+    serial = monte_carlo_msd(cfg, n_jobs=1)
+    assert len(made) == 1
+    for name in ("a", "b"):
+        assert (pooled[name].msd_linear == serial[name].msd_linear).all()
+    # one algorithm, one range: no pool at all
+    monte_carlo_msd(make_config(runs=6), n_jobs=8)
+    assert len(made) == 1
+
+
+def test_all_diverged_in_pool_raises_and_shuts_pool_down(monkeypatch):
+    made = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delenv("DIFFLAB_THREADS", raising=False)
+    algos = (AlgorithmSpec("hopeless", step_size=50.0),
+             AlgorithmSpec("dlms", step_size=0.1))
+    cfg = make_config(algorithms=algos, runs=20, iterations=60)
+    with pytest.raises(EmptyEnsembleError, match="hopeless"):
+        monte_carlo_msd(cfg, n_jobs=2)
+    assert len(made) == 1
+    with pytest.raises(RuntimeError, match="shutdown"):
+        made[0].submit(abs, -1)
 
 
 def test_diverged_runs_are_counted_and_excluded():

@@ -14,13 +14,11 @@ from difflab.theory import (
     TheoryInputs,
     _block_diag_hessian,
     _noise_driver_matrices,
-    combination_noise_tradeoff,
     gradient_covariance,
     hessian_at_optimum,
     mean_recursion_matrix,
     spectral_radius,
     steady_state_msd,
-    steady_state_msd_bruteforce,
     stepsize_upper_bound,
 )
 from difflab.topology import (
@@ -30,8 +28,10 @@ from difflab.topology import (
 )
 from theory_reference import (
     block_diag_hessian_by_links,
+    combination_noise_tradeoff,
     fixed_point_msd,
     noise_drivers_by_links,
+    steady_state_msd_bruteforce,
 )
 
 COMPARE_CFG = os.path.join(os.path.dirname(__file__), "..", "presets",

@@ -1,20 +1,34 @@
 """Loop-based reference implementations of the closed-form theory.
 
 Test oracles only: the fixed-point MSD iteration, which adds one term of
-the series per step where steady_state_msd doubles, and the per-link
-assembly of the Hessian and noise-driver blocks from hessian_at_optimum
-and gradient_covariance.
+the series per step where steady_state_msd doubles, the direct
+(I - F)^{-1} solve with F materialized, the trace decomposition of the
+noise drivers, and the per-link assembly of the Hessian and noise-driver
+blocks from hessian_at_optimum and gradient_covariance.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from difflab.errors import NumericalFailureError
+from difflab.errors import InvalidArgumentError, NumericalFailureError
 from difflab.theory import (
     _noise_driver_matrices,
+    _prediction,
     _script_matrices,
     gradient_covariance,
     hessian_at_optimum,
 )
+
+
+@dataclass(frozen=True)
+class TradeoffReport:
+    """Trace decomposition of the steady-state noise drivers."""
+
+    total: float
+    per_node: np.ndarray
+    combination_part: float   # Tr(V): weight-exchange noise
+    gradient_part: float      # Tr(R_script): gradient noise through adaptation
 
 
 def in_neighborhood(inputs, l, k):
@@ -40,6 +54,36 @@ def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
         if delta < tol:
             return float(np.trace(T)) / inputs.n_nodes, it
     raise NumericalFailureError(f"fixed point did not converge in {cap}")
+
+
+def steady_state_msd_bruteforce(inputs):
+    """Direct (I - F)^{-1} solve with F materialized; tiny instances only."""
+    A_script, D = _script_matrices(inputs)
+    nl = A_script.shape[0]
+    if nl > 8:
+        raise InvalidArgumentError("brute-force MSD limited to N*L <= 8")
+    eye = np.eye(nl)
+    B_hat = D @ A_script
+    F = np.kron(B_hat, B_hat)
+    V, R_script = _noise_driver_matrices(inputs)
+    vec_eye = eye.reshape(-1, order="F")
+    x = np.linalg.solve(np.eye(nl * nl) - F, vec_eye)
+    msd = float((V + R_script).reshape(-1, order="F") @ x) / inputs.n_nodes
+    return _prediction(msd, 0)
+
+
+def combination_noise_tradeoff(inputs):
+    """Tr(V + R) total and per node; compares combination strategies."""
+    V, R_script = _noise_driver_matrices(inputs)
+    L = inputs.dim
+    diag = np.diag(V + R_script)
+    per_node = diag.reshape(inputs.n_nodes, L).sum(axis=1)
+    return TradeoffReport(
+        total=float(diag.sum()),
+        per_node=per_node,
+        combination_part=float(np.trace(V)),
+        gradient_part=float(np.trace(R_script)),
+    )
 
 
 def block_diag_hessian_by_links(inputs):

@@ -17,6 +17,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
     UnknownKeyError,
+    UnmodeledCaseError,
 )
 from .harness import (
     LearningCurve,
@@ -33,7 +34,6 @@ from .theory import (
     TheoryInputs,
     gradient_covariance,
     hessian_at_optimum,
-    mean_recursion_matrix,
     steady_state_msd,
     stepsize_upper_bound,
 )
@@ -67,13 +67,13 @@ __all__ = [
     "NumericalFailureError",
     "TheoryInputs",
     "UnknownKeyError",
+    "UnmodeledCaseError",
     "convergence_iteration",
     "gamma_lk",
     "generate_random_graph",
     "gradient_covariance",
     "hessian_at_optimum",
     "load_edge_list",
-    "mean_recursion_matrix",
     "metropolis_weights",
     "monte_carlo_msd",
     "save_edge_list",

@@ -20,6 +20,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from .config import parse_config, parse_overrides
 from .errors import (
     ConfigError,
@@ -28,15 +30,15 @@ from .errors import (
     InstabilityError,
     InvalidArgumentError,
     NumericalFailureError,
+    UnmodeledCaseError,
 )
 from .harness import (
+    closed_form,
     monte_carlo_msd,
     steady_state_estimate,
     sweep,
-    theory_inputs,
     theory_vs_simulation,
 )
-from .theory import mean_recursion_matrix, steady_state_msd, stepsize_upper_bound
 from .topology import metropolis_weights, validate_combination_matrix
 
 EXIT_OK = 0
@@ -77,8 +79,6 @@ def _curve_csv(curves, order):
 
 
 def _per_node_csv(curve):
-    import numpy as np
-
     n = curve.per_node.shape[1]
     lines = ["iteration," + ",".join(f"node{k}_msd_db" for k in range(n))]
     with np.errstate(divide="ignore"):
@@ -161,20 +161,17 @@ def _cmd_theory(config, args):
     problem = config.build_problem()
     lines = []
     for algo in config.algorithms:
-        if algo.adaptive_combination:
-            lines.append(f"{algo.name}.skipped=adaptive_combination")
-            continue
-        ti = theory_inputs(config, algo, problem)
-        for k in range(problem.n_nodes):
-            bound = stepsize_upper_bound(ti, k)
-            lines.append(f"{algo.name}.mu_bound.node{k}={bound:.6g}")
-        _, rho = mean_recursion_matrix(ti)
-        lines.append(f"{algo.name}.rho={rho:.8g}")
         try:
-            pred = steady_state_msd(ti)
-            lines.append(f"{algo.name}.msd_db={_fmt(pred.msd_db)}")
-        except InstabilityError:
-            lines.append(f"{algo.name}.msd_db=unstable")
+            cf = closed_form(config, algo, problem)
+        except UnmodeledCaseError as exc:
+            lines.append(f"{algo.name}.skipped={exc.reason}")
+            continue
+        lines += [f"{algo.name}.mu_bound.node{k}={bound:.6g}"
+                  for k, bound in enumerate(cf.mu_bounds)]
+        lines.append(f"{algo.name}.rho={cf.rho:.8g}")
+        pred = cf.prediction
+        lines.append(f"{algo.name}.msd_db="
+                     + ("unstable" if pred is None else _fmt(pred.msd_db)))
     text = "\n".join(lines) + "\n"
     out = os.path.join(args.out, "theory_report.txt")
     _write_atomic(out, text)

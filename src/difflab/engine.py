@@ -31,8 +31,8 @@ class KernelSchedule:
     switch_iteration: int = 100
 
     def __post_init__(self):
-        if self.initial <= 0 or self.final <= 0:
-            raise InvalidArgumentError("kernel values must be positive")
+        if not (0 < self.initial < np.inf and 0 < self.final < np.inf):
+            raise InvalidArgumentError("kernel values must be positive and finite")
 
     def value(self, iteration):
         return self.initial if iteration < self.switch_iteration else self.final
@@ -62,8 +62,9 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise InvalidArgumentError(f"unknown estimator {self.estimator!r}")
-        if np.any(np.asarray(self.step_size) <= 0):
-            raise InvalidArgumentError("step sizes must be positive")
+        mu = np.asarray(self.step_size)
+        if not np.all((mu > 0) & (mu < np.inf)):
+            raise InvalidArgumentError("step sizes must be positive and finite")
         if not 0.0 < self.chi <= 1.0:
             raise InvalidArgumentError("chi must be in (0, 1]")
         if self.epsilon <= 0:

@@ -13,6 +13,14 @@ class InvalidArgumentError(DifflabError, ValueError):
     """A caller violated a documented precondition."""
 
 
+class UnmodeledCaseError(InvalidArgumentError):
+    """The closed form does not model the case; reason is one token."""
+
+    def __init__(self, reason, detail):
+        super().__init__(f"closed form does not model {reason}: {detail}")
+        self.reason = reason
+
+
 class GenerationFailureError(DifflabError):
     """Random graph generation exhausted its retry budget."""
 
@@ -22,7 +30,11 @@ class NumericalFailureError(DifflabError):
 
 
 class InstabilityError(DifflabError):
-    """The mean recursion is unstable (spectral radius >= 1)."""
+    """The mean recursion is unstable (spectral radius rho >= 1)."""
+
+    def __init__(self, message, rho=None):
+        super().__init__(message)
+        self.rho = rho
 
 
 class EmptyEnsembleError(DifflabError):

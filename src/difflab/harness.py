@@ -19,15 +19,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import EmptyEnsembleError, InvalidArgumentError
+from .errors import (EmptyEnsembleError, InstabilityError,
+                     InvalidArgumentError, UnmodeledCaseError)
 from .noise import gamma_lk
 from .simulate import simulate_runs
-from .theory import (
-    TheoryInputs,
-    mean_recursion_matrix,
-    steady_state_msd,
-    stepsize_upper_bound,
-)
+from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
+                     stepsize_upper_bound)
 
 THREADS_ENV = "DIFFLAB_THREADS"
 # Runs per pool task. Throughput per run is flat from MIN_TASK_RUNS up;
@@ -255,8 +252,56 @@ def theory_inputs(config, algo, problem=None):
         sigma_phi2=sphi2,
         gamma=gamma,
         zeta2=np.full((n, n), z2f),
-        graph=problem.graph,
     )
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """What the closed form gives for one configured algorithm."""
+
+    mu_bounds: np.ndarray             # (N,) largest stable step size per node
+    rho: float                        # spectral radius of the mean recursion
+    prediction: MsdPrediction = None  # None when rho >= 1
+
+
+def closed_form(config, algo, problem=None, compare=False):
+    """Per-node step-size bounds, rho and steady-state MSD of one algorithm.
+
+    The one gate for what the closed form models: any other case raises
+    UnmodeledCaseError with a one-token reason. compare=True, for a
+    comparison with the simulated steady state, also refuses a second
+    noise phase and step sizes at or above their bounds, and raises
+    InstabilityError where it would return no prediction.
+    """
+    noise, data = config.noise, algo.share_data
+    for reason, unmodeled, detail in (
+            ("adaptive_combination", algo.adaptive_combination,
+             "fixed combination matrices only"),
+            ("mixture_link_noise", any(
+                g.c > 0.0 and g.sigma_b2 != g.sigma_a2
+                for g in (noise.x, noise.y, noise.phi)),
+             "pure Gaussian link noise only"),
+            ("cross_link_estimator", data and algo.estimator != "mtc",
+             "total-correntropy (mtc) cross links only"),
+            ("noiseless_input_channel", data and noise.x.sigma_a2 == 0.0,
+             "the simulator runs LMS on these cross links"),
+            ("noise_after", compare and config.noise_after is not None,
+             "noise phase one only; the simulation ends in the last phase")):
+        if unmodeled:
+            raise UnmodeledCaseError(reason, detail)
+    ti = theory_inputs(config, algo, problem)
+    bounds = np.array([stepsize_upper_bound(ti, k) for k in range(ti.n_nodes)])
+    if compare and (ti.mu >= bounds).any():
+        k = int(np.argmax(ti.mu >= bounds))
+        raise UnmodeledCaseError("step_size", f"step size {ti.mu[k]:.4g} at "
+                                 f"node {k} exceeds the bound {bounds[k]:.4g}")
+    try:
+        prediction = steady_state_msd(ti)
+    except InstabilityError as exc:
+        if compare:
+            raise
+        return ClosedForm(bounds, exc.rho)
+    return ClosedForm(bounds, prediction.rho, prediction)
 
 
 @dataclass
@@ -273,45 +318,23 @@ class CompareReport:
 
 def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
                          n_jobs=None):
-    """Predicted vs simulated steady-state MSD for a fixed-C Gaussian scenario."""
-    phases = [config.noise] + (
-        [config.noise_after] if config.noise_after is not None else [])
-    for ph in phases:
-        for name in ("x", "y", "phi"):
-            g = getattr(ph, name)
-            if g.c > 0.0 and g.sigma_b2 != g.sigma_a2:
-                raise InvalidArgumentError(
-                    "theory comparison requires pure Gaussian link noise")
-    algos = [a for a in config.algorithms
-             if algo_name is None or a.name == algo_name]
-    if algo_name is not None and not algos:
+    """Predicted vs simulated steady-state MSD for one algorithm (the
+    first, or algo_name) that closed_form(compare=True) models."""
+    algo = next((a for a in config.algorithms
+                 if algo_name in (None, a.name)), None)
+    if algo is None:
         raise InvalidArgumentError(f"no algorithm named {algo_name!r}")
-    algo = algos[0]
-    if algo.adaptive_combination:
-        raise InvalidArgumentError(
-            "theory comparison requires a fixed combination matrix")
-    problem = config.build_problem()
-    ti = theory_inputs(config, algo, problem)
-    mu = algo.step_sizes(problem.n_nodes)
-    for k in range(problem.n_nodes):
-        bound = stepsize_upper_bound(ti, k)
-        if mu[k] >= bound:
-            raise InvalidArgumentError(
-                f"step size {mu[k]:.4g} at node {k} exceeds the bound {bound:.4g}")
-    predicted = steady_state_msd(ti)
-    _, rho = mean_recursion_matrix(ti)
+    predicted = closed_form(config, algo, compare=True).prediction
     sub = replace(config, algorithms=(algo,))
     curve = monte_carlo_msd(sub, n_jobs=n_jobs)[algo.name]
     simulated_db = steady_state_estimate(curve, tail_fraction)
-    if predicted.msd_linear == 0.0 and simulated_db == -math.inf:
-        gap = 0.0
-    else:
-        gap = predicted.msd_db - simulated_db
+    gap = (0.0 if predicted.msd_linear == 0.0 and simulated_db == -math.inf
+           else predicted.msd_db - simulated_db)
     return CompareReport(
         algorithm=algo.name,
         predicted_db=predicted.msd_db,
         simulated_db=simulated_db,
         gap_db=gap,
-        rho=rho,
+        rho=predicted.rho,
         diverged_runs=curve.diverged_runs,
     )

@@ -32,8 +32,8 @@ class GmmSpec:
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
             raise InvalidArgumentError(f"mixing probability c={self.c} not in [0,1]")
-        if self.sigma_a2 < 0 or self.sigma_b2 < 0:
-            raise InvalidArgumentError("variances must be nonnegative")
+        if not (0.0 <= self.sigma_a2 < np.inf and 0.0 <= self.sigma_b2 < np.inf):
+            raise InvalidArgumentError("variances must be finite and nonnegative")
 
     @property
     def total_variance(self):

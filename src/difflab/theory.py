@@ -13,9 +13,10 @@ TheoryInputs.link_factors. The MSD series is summed by Smith doubling
 
 All blocks are the exact expectations of the gradient estimators the
 simulator runs, so predicted and simulated dynamics share one step-size
-convention. Cross links are assumed to run the total-correntropy path
-(positive input-channel variance); the analysis assumes purely Gaussian
-noise throughout.
+convention. The analysis assumes that cross links run the
+total-correntropy path (positive input-channel variance) and that the
+link noise is purely Gaussian; `harness.closed_form` is the one gate
+that enforces this and refuses every other case.
 """
 
 from __future__ import annotations
@@ -57,15 +58,14 @@ class TheoryInputs:
     sigma_phi2: np.ndarray  # (N, N) weight-channel variances
     gamma: np.ndarray      # (N, N) TLS ratios per link
     zeta2: np.ndarray      # (N, N) kernel parameters per link
-    graph: object = None
 
     def __post_init__(self):
         for name in ("h", "R", "A", "C", "mu", "obs_var", "sigma_x2",
                      "sigma_y2", "sigma_phi2", "gamma", "zeta2"):
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, v)
-        if (self.obs_var < 0).any() or (self.sigma_x2 < 0).any() \
-                or (self.sigma_y2 < 0).any() or (self.sigma_phi2 < 0).any():
+        if any((getattr(self, name) < 0).any() for name in
+               ("obs_var", "sigma_x2", "sigma_y2", "sigma_phi2")):
             raise InvalidArgumentError("variances must be nonnegative")
 
     @property
@@ -82,19 +82,15 @@ class TheoryInputs:
 
         Returns (mask, hess, q_r, q_i, q_h) with H_lk = -hess[l, k] R_l and
         Q_lk = q_r[l, k] R_l + q_i[l, k] I - q_h[l, k] h h^T. mask holds the
-        modeled links l -> k: graph adjacency, or the nonzeros of A and C
-        without a graph, plus the self links. Self link: hess = 1,
-        q_r = obs_var_l. Cross link, with u = |h|^2 + gamma:
+        modeled links l -> k: the nonzeros of A or C, plus the self links.
+        Self link: hess = 1, q_r = obs_var_l. Cross link, u = |h|^2 + gamma:
         hess = (zeta2/(sigma_x2 + zeta2))^{3/2} / (zeta2 u) and, with
         p = sigma_x2 / (zeta2^2 u^2) * (zeta2/(2 sigma_x2 + zeta2))^{3/2},
         q_r = p u, q_i = p u sigma_x2, q_h = p sigma_x2. Computed on first
         use, so the input arrays must not be modified afterwards.
         """
         eye = np.eye(self.n_nodes, dtype=bool)
-        if self.graph is not None:
-            mask = self.graph.adjacency_matrix() | eye
-        else:
-            mask = (self.A != 0) | (self.C != 0) | eye
+        mask = (self.A != 0) | (self.C != 0) | eye
         cross = mask & ~eye
         u = float(self.h @ self.h) + self.gamma[cross]
         z2 = self.zeta2[cross]
@@ -113,11 +109,11 @@ class TheoryInputs:
 
 @dataclass(frozen=True)
 class MsdPrediction:
-    """Steady-state MSD with the doubling solve diagnostics."""
+    """Steady-state MSD, spectral radius rho of the mean recursion, squarings."""
 
     msd_linear: float
     msd_db: float
-    converged: bool
+    rho: float
     iterations_used: int
 
 
@@ -127,23 +123,14 @@ def _check_link(mask, l, k):
 
 
 def hessian_at_optimum(inputs, l, k):
-    """Expected gradient Jacobian H_lk at the true weights.
-
-    Self link: -R_l. Cross link: the total-correntropy utility curvature
-    -(1 / (zeta2 (|h|^2 + gamma))) * (zeta2/(sigma_x2 + zeta2))^{3/2} R_l.
-    """
+    """Expected gradient Jacobian H_lk = -hess[l, k] R_l at the true weights."""
     mask, hess, *_ = inputs.link_factors
     _check_link(mask, l, k)
     return -hess[l, k] * inputs.R[l]
 
 
 def gradient_covariance(inputs, l, k):
-    """Covariance Q_lk of the instantaneous gradient at the true weights.
-
-    Self link: obs_var_l * R_l. Cross link:
-    sigma_x2 / (zeta2^2 (|h|^2+gamma))^2 * (zeta2/(2 sigma_x2+zeta2))^{3/2}
-      * [(|h|^2+gamma)(R_l + sigma_x2 I) - sigma_x2 h h^T].
-    """
+    """Gradient covariance Q_lk at the true weights (see link_factors)."""
     mask, _, q_r, q_i, q_h = inputs.link_factors
     _check_link(mask, l, k)
     return (q_r[l, k] * inputs.R[l] + q_i[l, k] * np.eye(inputs.dim)
@@ -162,14 +149,10 @@ def _summed_hessian(inputs):
     return -np.tensordot(inputs.A * hess, inputs.R, axes=(0, 0))
 
 
-def _block_diag_hessian(inputs):
-    return _block_diag(_summed_hessian(inputs))
-
-
 def _script_matrices(inputs):
     """Return A_script = A kron I_L and D = I + M_script H_script."""
     L = inputs.dim
-    mh = np.repeat(inputs.mu, L)[:, None] * _block_diag_hessian(inputs)
+    mh = np.repeat(inputs.mu, L)[:, None] * _block_diag(_summed_hessian(inputs))
     return np.kron(inputs.A, np.eye(L)), np.eye(mh.shape[0]) + mh
 
 
@@ -204,13 +187,6 @@ def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def mean_recursion_matrix(inputs):
-    """Mean error recursion matrix B = A_script^T (I + M_script H_script) and rho(B)."""
-    A_script, D = _script_matrices(inputs)
-    B = A_script.T @ D
-    return B, spectral_radius(B)
-
-
 def stepsize_upper_bound(inputs, k):
     """Largest stable step size for node k: 2 / rho(sum_l alpha_lk H_lk(h))."""
     S = _summed_hessian(inputs)[k]
@@ -237,11 +213,6 @@ def _noise_driver_matrices(inputs):
     return np.diag(np.repeat(vcoef, L)), R_script
 
 
-def _prediction(msd, iterations):
-    db = 10.0 * np.log10(msd) if msd > 0 else -np.inf
-    return MsdPrediction(msd, db, True, iterations)
-
-
 def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
     """Steady-state network MSD by Smith doubling.
 
@@ -253,14 +224,15 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
 
     tol bounds the Frobenius norm of the last increment P^T S P; cap is
     the number of squarings allowed before NumericalFailureError.
-    iterations_used counts the squarings.
+    iterations_used counts the squarings. rho is the spectral radius of
+    the mean recursion B = B_hat^T; InstabilityError carries it when
+    rho >= 1.
     """
     A_script, D = _script_matrices(inputs)
     rho = spectral_radius(A_script.T @ D)
     if rho >= 1.0:
         raise InstabilityError(
-            f"mean recursion is unstable (rho = {rho:.6g} >= 1)"
-        )
+            f"mean recursion is unstable (rho = {rho:.6g} >= 1)", rho)
     V, R_script = _noise_driver_matrices(inputs)
     S = V + R_script
     P = D @ A_script
@@ -269,7 +241,9 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
         S = S + inc
         delta = float(np.linalg.norm(inc))
         if delta < tol:
-            return _prediction(float(np.trace(S)) / inputs.n_nodes, it)
+            msd = float(np.trace(S)) / inputs.n_nodes
+            return MsdPrediction(
+                msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, rho, it)
         P = P @ P
     raise NumericalFailureError(
         f"MSD doubling did not converge in {cap} squarings "

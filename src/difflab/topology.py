@@ -79,18 +79,15 @@ class CombinationMatrix:
     """N x N nonnegative weights constrained to graph sparsity.
 
     entries[l, k] is the weight node k applies to data received from
-    node l. role is 'adaptation' (A) or 'combination' (C).
+    node l; the same type holds adaptation (A) and combination (C) weights.
     """
 
     entries: np.ndarray
-    role: str = "combination"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise InvalidArgumentError("combination matrix must be square")
-        if self.role not in ("adaptation", "combination"):
-            raise InvalidArgumentError(f"unknown role {self.role!r}")
         e = e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -107,9 +104,6 @@ class ValidationReport:
     ok: bool
     constraint: str = ""
     indices: tuple = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def generate_random_graph(n_nodes, avg_degree, seed):
@@ -152,11 +146,6 @@ def metropolis_weights(graph):
     # weights sum to exactly one in real arithmetic
     w[np.diag_indices(n)] = np.maximum(1.0 - w.sum(axis=0), 0.0)
     return CombinationMatrix(w)
-
-
-def identity_matrix(n_nodes, role="combination"):
-    """A = I or C = I variant: each node keeps only its own data."""
-    return CombinationMatrix(np.eye(n_nodes), role=role)
 
 
 def validate_combination_matrix(matrix, graph):

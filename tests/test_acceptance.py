@@ -26,13 +26,12 @@ from difflab.harness import (
 from difflab.simulate import simulate_runs
 from difflab.theory import (
     TheoryInputs,
-    mean_recursion_matrix,
     steady_state_msd,
     stepsize_upper_bound,
 )
 from difflab.topology import NetworkGraph, metropolis_weights
 from reference import SharedSample, mtc_cost
-from theory_reference import steady_state_msd_bruteforce
+from theory_reference import mean_recursion_matrix, steady_state_msd_bruteforce
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 
@@ -94,14 +93,13 @@ def test_criterion_2_expectations_match_monte_carlo():
     obs_var, sx2, sy2, z2 = 0.1, 0.04, 0.04, 0.2
     gamma = (obs_var + sy2) / sx2
     u = float(h @ h) + gamma
-    g = NetworkGraph(2, ((0, 1),))
     full = np.full((2, 2), 0.5)
     ti = TheoryInputs(
         h=h, R=np.broadcast_to(np.eye(2), (2, 2, 2)).copy(),
         A=full, C=np.eye(2), mu=np.full(2, 0.01),
         obs_var=np.full(2, obs_var), sigma_x2=np.full((2, 2), sx2),
         sigma_y2=np.full((2, 2), sy2), sigma_phi2=np.zeros((2, 2)),
-        gamma=np.full((2, 2), gamma), zeta2=np.full((2, 2), z2), graph=g,
+        gamma=np.full((2, 2), gamma), zeta2=np.full((2, 2), z2),
     )
     from difflab.theory import gradient_covariance, hessian_at_optimum
     H = hessian_at_optimum(ti, 0, 1)
@@ -161,7 +159,7 @@ def small_instance(n, L, mu=0.02, sigma_phi2=0.02):
         A=C, C=C, mu=np.full(n, mu), obs_var=np.full(n, 0.1),
         sigma_x2=np.full((n, n), 0.04), sigma_y2=np.full((n, n), 0.04),
         sigma_phi2=np.full((n, n), sigma_phi2),
-        gamma=np.full((n, n), gamma), zeta2=np.full((n, n), 0.2), graph=g,
+        gamma=np.full((n, n), gamma), zeta2=np.full((n, n), 0.2),
     )
 
 
@@ -313,10 +311,10 @@ def test_criterion_8_reductions():
     # identity adaptation and combination matrices: the diffusion update
     # must reduce exactly to independent per-node LMS filters
     from difflab.simulate import _Drawer, _PhaseParams, _phase_for
-    from difflab.topology import identity_matrix
+    from difflab.topology import CombinationMatrix
     n = problem.n_nodes
-    id_problem = replace(problem, adaptation=identity_matrix(n),
-                         combination=identity_matrix(n))
+    identity = CombinationMatrix(np.eye(n))
+    id_problem = replace(problem, adaptation=identity, combination=identity)
     res = simulate_runs(id_problem, dlms, runs, iters)
 
     # reference: each node filtered on its own, coupled to nothing,

@@ -1,7 +1,11 @@
 import glob
+import math
 import os
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from difflab import cli
 from difflab.config import (
@@ -205,13 +209,65 @@ def test_cli_sweep_without_spec_fails(small_cfg_path, capsys):
 
 
 def test_cli_theory_report(small_cfg_path, tmp_path, capsys):
+    # SMALL_CFG plus a total-correntropy algorithm, which the closed form
+    # models; dlms shares data over LMS cross links, which it does not
+    p = tmp_path / "theory.cfg"
+    p.write_text(SMALL_CFG + "  - {name: dmtc, estimator: mtc, step_size: 0.045,"
+                 " zeta2: 0.2}\n")
     out = tmp_path / "out"
-    code = cli.main(["theory", "--config", small_cfg_path, "--out", str(out)])
+    code = cli.main(["theory", "--config", str(p), "--out", str(out)])
     assert code == cli.EXIT_OK
     text = (out / "theory_report.txt").read_text()
-    assert "dlms.rho=" in text
-    assert "dlms.mu_bound.node0=" in text
+    assert "dmtc.rho=" in text
+    assert "dmtc.mu_bound.node0=" in text
+    assert "dlms.skipped=cross_link_estimator\n" in text
+    assert "dlms.rho=" not in text
     assert "ac-dlms.skipped=adaptive_combination" in text
+
+
+def test_cli_theory_fig1_skips_unmodeled_estimators(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["theory", "--config", os.path.join(PRESET_DIR, "fig1.cfg"),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "theory_report.txt").read_text().splitlines()
+    assert "dlms.skipped=cross_link_estimator" in lines
+    assert "dmcc.skipped=cross_link_estimator" in lines
+    assert not [ln for ln in lines
+                if ln.startswith(("dlms.", "dmcc.")) and "skipped" not in ln]
+    # the modeled algorithms print what they printed before the gate
+    for line in ("noncoop-lms.mu_bound.node0=2", "noncoop-lms.rho=0.9",
+                 "noncoop-lms.msd_db=-16.766936",
+                 "dmtc-ds.mu_bound.node0=2.04465", "dmtc-ds.rho=0.95992983",
+                 "dmtc-ds.msd_db=-32.108252"):
+        assert line in lines
+
+
+def test_cli_theory_skips_phase_one_mixture_noise(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["theory", "--config",
+                     os.path.join(PRESET_DIR, "compare.cfg"), "--out", str(out),
+                     "--set", "noise.y.c=1", "--set", "noise.y.sigma_b2=1.0"])
+    assert code == cli.EXIT_OK
+    assert (out / "theory_report.txt").read_text() == \
+        "dmtc.skipped=mixture_link_noise\n"
+
+
+def test_cli_theory_computes_rho_once_per_algorithm(tmp_path, monkeypatch,
+                                                     capsys):
+    from difflab import theory
+    calls = []
+    radius = theory.spectral_radius
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return radius(m, *args, **kwargs)
+    monkeypatch.setattr(theory, "spectral_radius", counting)
+    code = cli.main(["theory", "--config",
+                     os.path.join(PRESET_DIR, "compare.cfg"),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert calls == [(40, 40)]
 
 
 def test_cli_compare(tmp_path, capsys):
@@ -243,6 +299,23 @@ def test_cli_compare_refuses_all_outlier_link_noise(tmp_path, capsys):
                      "--out", str(tmp_path / "out"), "--runs", "2", *sets])
     assert code == cli.EXIT_VALIDATION
     assert "pure Gaussian" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compare_report.txt").exists()
+
+
+@pytest.mark.parametrize("override, reason", [
+    ("algorithms.0.estimator=lms", "cross_link_estimator"),
+    ("noise.x.sigma_a2=0", "noiseless_input_channel"),
+    ("noise.after={switch_iteration: 100, x: {sigma_a2: 0.3},"
+     " y: {sigma_a2: 0.3}, phi: {sigma_a2: 0.3}}", "noise_after"),
+], ids=["lms", "noiseless_x", "gaussian_after"])
+def test_cli_compare_refuses_unmodeled_cases(override, reason, tmp_path,
+                                            capsys):
+    code = cli.main(["compare", "--config",
+                     os.path.join(PRESET_DIR, "compare.cfg"),
+                     "--out", str(tmp_path / "out"), "--runs", "2",
+                     "--set", override])
+    assert code == cli.EXIT_VALIDATION
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "out" / "compare_report.txt").exists()
 
 
@@ -309,3 +382,40 @@ def test_cli_sweep_section_takes_overrides(tmp_path, capsys):
                      "--set", "sweep.bogus=1"])
     assert code == cli.EXIT_PARSE
     assert "sweep.bogus" in capsys.readouterr().err
+
+
+# floats as YAML scalars (.nan, .inf, 1.0e+300), as --set reads them
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324,
+                     1e-300, 1e300]),
+).map(lambda v: yaml.safe_dump(v).partition("\n")[0])
+_THEORY_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from([f"noise.{ch}.{key}" for ch in ("x", "y", "phi")
+                               for key in ("c", "sigma_a2", "sigma_b2")]),
+              _ANY_FLOAT),
+    st.tuples(st.just("algorithms.0.estimator"),
+              st.sampled_from(["lms", "mcc", "mtc", "gdtls", "bogus"])),
+    st.tuples(st.sampled_from(["algorithms.0.share_data",
+                               "algorithms.0.share_weights",
+                               "algorithms.0.adaptive_combination"]),
+              st.sampled_from(["true", "false"])),
+    st.tuples(st.sampled_from(["algorithms.0.step_size", "algorithms.0.zeta2"]),
+              _ANY_FLOAT),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_THEORY_OVERRIDES, max_size=6))
+def test_cli_theory_random_overrides_exit_cleanly(overrides):
+    # whatever the overrides, theory either reports or refuses with a
+    # documented exit code; no exception escapes
+    sets = [arg for key, value in overrides
+            for arg in ("--set", f"{key}={value}")]
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["theory", "--config",
+                         os.path.join(PRESET_DIR, "compare.cfg"),
+                         "--out", out, *sets])
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
+                    cli.EXIT_NUMERICAL, cli.EXIT_INSTABILITY)

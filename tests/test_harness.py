@@ -7,7 +7,11 @@ import pytest
 from difflab import harness
 from difflab.config import ExperimentConfig
 from difflab.engine import AlgorithmSpec, KernelSchedule
-from difflab.errors import EmptyEnsembleError, InvalidArgumentError
+from difflab.errors import (
+    EmptyEnsembleError,
+    InvalidArgumentError,
+    UnmodeledCaseError,
+)
 from difflab.harness import (
     LearningCurve,
     _substitute,
@@ -274,23 +278,44 @@ def test_theory_inputs_shapes_and_gammas():
 
 
 def test_theory_vs_simulation_rejections():
-    mixed_noise = LinkNoiseSpec(x=MIXED, y=GAUSS, phi=GAUSS,
-                                obs_var=np.array([0.1]))
-    cfg = make_config(noise=mixed_noise)
-    with pytest.raises(InvalidArgumentError):
-        theory_vs_simulation(cfg)
+    # every case is an otherwise-modeled total-correntropy algorithm, so
+    # each refusal is for its own reason
+    dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=0.045,
+                         zeta2=KernelSchedule(1e4, 0.2, 100))
+    gauss = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS, obs_var=np.array([0.1]))
+    cases = {
+        "mixture_link_noise": make_config(
+            algorithms=(dmtc,), noise=replace(gauss, x=MIXED)),
+        "adaptive_combination": make_config(algorithms=(
+            replace(dmtc, adaptive_combination=True),)),
+        "cross_link_estimator": make_config(algorithms=(
+            replace(dmtc, estimator="lms"),)),
+        "noiseless_input_channel": make_config(
+            algorithms=(dmtc,), noise=replace(gauss, x=GmmSpec())),
+        "noise_after": make_config(algorithms=(dmtc,), noise_after=gauss,
+                                   switch=20),
+        "step_size": make_config(algorithms=(replace(dmtc, step_size=5.0),)),
+    }
+    for reason, cfg in cases.items():
+        with pytest.raises(UnmodeledCaseError, match=reason):
+            theory_vs_simulation(cfg)
+    with pytest.raises(InvalidArgumentError, match="no algorithm named"):
+        theory_vs_simulation(make_config(algorithms=(dmtc,)), algo_name="nope")
 
-    adaptive = AlgorithmSpec("ac", adaptive_combination=True, step_size=0.1)
-    with pytest.raises(InvalidArgumentError):
-        theory_vs_simulation(make_config(algorithms=(adaptive,)))
 
-    with pytest.raises(InvalidArgumentError):
-        theory_vs_simulation(make_config(), algo_name="nope")
-
-    huge = AlgorithmSpec("huge", estimator="mtc", step_size=5.0,
-                         zeta2=KernelSchedule(1e4, 0.2, 8))
-    with pytest.raises(InvalidArgumentError):
-        theory_vs_simulation(make_config(algorithms=(huge,)))
+def test_closed_form_unstable_carries_rho():
+    dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=5.0,
+                         zeta2=KernelSchedule(1e4, 0.2, 100))
+    cfg = make_config(algorithms=(dmtc,))
+    cf = harness.closed_form(cfg, dmtc)
+    assert cf.prediction is None
+    assert cf.rho >= 1.0
+    assert (cf.mu_bounds < 5.0).any()
+    with pytest.raises(UnmodeledCaseError, match="step_size"):
+        harness.closed_form(cfg, dmtc, compare=True)
+    stable = replace(dmtc, step_size=0.045)
+    cf = harness.closed_form(cfg, stable)
+    assert cf.rho == cf.prediction.rho < 1.0
 
 
 def test_theory_vs_simulation_small_gaussian():

@@ -12,11 +12,11 @@ from difflab.errors import (
 from difflab.harness import theory_inputs
 from difflab.theory import (
     TheoryInputs,
-    _block_diag_hessian,
+    _block_diag,
     _noise_driver_matrices,
+    _summed_hessian,
     gradient_covariance,
     hessian_at_optimum,
-    mean_recursion_matrix,
     spectral_radius,
     steady_state_msd,
     stepsize_upper_bound,
@@ -30,6 +30,7 @@ from theory_reference import (
     block_diag_hessian_by_links,
     combination_noise_tradeoff,
     fixed_point_msd,
+    mean_recursion_matrix,
     noise_drivers_by_links,
     steady_state_msd_bruteforce,
 )
@@ -168,7 +169,7 @@ def test_single_node_lms_msd_closed_form():
                      input_var=su2)
     pred = steady_state_msd(ti)
     expect = L * mu * sv2 / (2.0 - mu * su2)
-    assert pred.converged
+    assert pred.rho == pytest.approx(abs(1 - mu * su2), rel=1e-12)
     assert pred.msd_linear == pytest.approx(expect, rel=1e-6)
     assert pred.msd_db == pytest.approx(10 * np.log10(expect), rel=1e-6)
 
@@ -187,8 +188,9 @@ def test_stability_bound_brackets_divergence():
 def test_unstable_msd_raises():
     ti = make_inputs([0.4, 0.7], np.eye(1), np.eye(1), 2.0, 0.1,
                      input_var=1.5)
-    with pytest.raises(InstabilityError):
+    with pytest.raises(InstabilityError) as exc:
         steady_state_msd(ti)
+    assert exc.value.rho == pytest.approx(2.0, rel=1e-12)
 
 
 def network_inputs(n=4, L=2, mu=0.02, sigma_phi2=0.0, seed=3):
@@ -206,6 +208,7 @@ def test_fixed_point_matches_bruteforce():
     fast = steady_state_msd(ti)
     brute = steady_state_msd_bruteforce(ti)
     assert fast.msd_linear == pytest.approx(brute.msd_linear, rel=1e-9)
+    assert fast.rho == pytest.approx(brute.rho, rel=1e-9)
 
 
 def test_bruteforce_size_guard():
@@ -259,16 +262,18 @@ def test_doubling_cap_raises():
         steady_state_msd(network_inputs(sigma_phi2=0.04), cap=1)
 
 
-def random_network_inputs(rng, with_graph):
+def random_network_inputs(rng, share_data):
+    # without data sharing A = I, so the modeled links come from C alone
     n, L = 12, 3
     g = generate_random_graph(n, 4.0, seed=5)
-    A = metropolis_weights(g).entries
+    C = metropolis_weights(g).entries
+    A = C.copy() if share_data else np.eye(n)
     G = rng.standard_normal((n, L, L))
     return TheoryInputs(
         h=rng.standard_normal(L),
         R=G @ G.transpose(0, 2, 1) + np.eye(L),
         A=A,
-        C=A.copy(),
+        C=C,
         mu=rng.uniform(0.01, 0.05, n),
         obs_var=rng.uniform(0.05, 0.2, n),
         sigma_x2=rng.uniform(0.01, 0.1, (n, n)),
@@ -276,14 +281,13 @@ def random_network_inputs(rng, with_graph):
         sigma_phi2=rng.uniform(0.01, 0.1, (n, n)),
         gamma=rng.uniform(1.0, 5.0, (n, n)),
         zeta2=rng.uniform(0.1, 1.0, (n, n)),
-        graph=g if with_graph else None,
     )
 
 
-@pytest.mark.parametrize("with_graph", [True, False])
-def test_vectorized_blocks_match_per_link_sums(with_graph):
-    ti = random_network_inputs(np.random.default_rng(8), with_graph)
-    np.testing.assert_allclose(_block_diag_hessian(ti),
+@pytest.mark.parametrize("share_data", [True, False])
+def test_vectorized_blocks_match_per_link_sums(share_data):
+    ti = random_network_inputs(np.random.default_rng(8), share_data)
+    np.testing.assert_allclose(_block_diag(_summed_hessian(ti)),
                                block_diag_hessian_by_links(ti),
                                rtol=1e-12, atol=1e-15)
     V, R_script = _noise_driver_matrices(ti)

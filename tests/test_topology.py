@@ -7,7 +7,6 @@ from difflab.topology import (
     CombinationMatrix,
     NetworkGraph,
     generate_random_graph,
-    identity_matrix,
     load_edge_list,
     metropolis_weights,
     save_edge_list,
@@ -93,7 +92,7 @@ def test_metropolis_symmetric_doubly_stochastic(seed, n):
 
 def test_identity_matrix_validates():
     g = generate_random_graph(8, 3, seed=4)
-    assert validate_combination_matrix(identity_matrix(8), g).ok
+    assert validate_combination_matrix(CombinationMatrix(np.eye(8)), g).ok
 
 
 def test_sparsity_violation_reported():
@@ -101,8 +100,7 @@ def test_sparsity_violation_reported():
     bad = np.eye(3)
     bad[0, 2] = 0.1
     bad[2, 2] = 0.9
-    report = validate_combination_matrix(
-        CombinationMatrix(bad, "combination"), g)
+    report = validate_combination_matrix(CombinationMatrix(bad), g)
     assert not report.ok
     assert report.constraint == "sparsity"
     assert report.indices == (0, 2)
@@ -111,7 +109,7 @@ def test_sparsity_violation_reported():
 def test_column_sum_violation_reported():
     g = NetworkGraph(2, ((0, 1),))
     bad = np.full((2, 2), 0.4)
-    report = validate_combination_matrix(CombinationMatrix(bad, "adaptation"), g)
+    report = validate_combination_matrix(CombinationMatrix(bad), g)
     assert not report.ok
     assert report.constraint == "column-sum"
 
@@ -119,7 +117,7 @@ def test_column_sum_violation_reported():
 def test_dimension_mismatch():
     g = NetworkGraph(2, ((0, 1),))
     with pytest.raises(InvalidArgumentError):
-        validate_combination_matrix(identity_matrix(3), g)
+        validate_combination_matrix(CombinationMatrix(np.eye(3)), g)
 
 
 def test_disconnected_graph_rejected():

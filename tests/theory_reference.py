@@ -1,10 +1,12 @@
 """Loop-based reference implementations of the closed-form theory.
 
-Test oracles only: the fixed-point MSD iteration, which adds one term of
-the series per step where steady_state_msd doubles, the direct
-(I - F)^{-1} solve with F materialized, the trace decomposition of the
-noise drivers, and the per-link assembly of the Hessian and noise-driver
-blocks from hessian_at_optimum and gradient_covariance.
+Test oracles only: the mean recursion matrix B and its spectral radius
+(steady_state_msd builds both for its stability check and reports rho),
+the fixed-point MSD iteration, which adds one term of the series per
+step where steady_state_msd doubles, the direct (I - F)^{-1} solve with
+F materialized, the trace decomposition of the noise drivers, and the
+per-link assembly of the Hessian and noise-driver blocks from
+hessian_at_optimum and gradient_covariance.
 """
 
 from dataclasses import dataclass
@@ -13,11 +15,12 @@ import numpy as np
 
 from difflab.errors import InvalidArgumentError, NumericalFailureError
 from difflab.theory import (
+    MsdPrediction,
     _noise_driver_matrices,
-    _prediction,
     _script_matrices,
     gradient_covariance,
     hessian_at_optimum,
+    spectral_radius,
 )
 
 
@@ -32,9 +35,14 @@ class TradeoffReport:
 
 
 def in_neighborhood(inputs, l, k):
-    if inputs.graph is not None:
-        return l == k or l in inputs.graph.neighbors(k)
     return inputs.A[l, k] != 0 or inputs.C[l, k] != 0 or l == k
+
+
+def mean_recursion_matrix(inputs):
+    """B = A_script^T (I + M_script H_script) and rho(B)."""
+    A_script, D = _script_matrices(inputs)
+    B = A_script.T @ D
+    return B, spectral_radius(B)
 
 
 def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
@@ -69,7 +77,8 @@ def steady_state_msd_bruteforce(inputs):
     vec_eye = eye.reshape(-1, order="F")
     x = np.linalg.solve(np.eye(nl * nl) - F, vec_eye)
     msd = float((V + R_script).reshape(-1, order="F") @ x) / inputs.n_nodes
-    return _prediction(msd, 0)
+    rho = float(np.abs(np.linalg.eigvals(B_hat)).max())
+    return MsdPrediction(msd, 10.0 * np.log10(msd), rho, 0)
 
 
 def combination_noise_tradeoff(inputs):

@@ -32,8 +32,6 @@ from .simulate import NetworkProblem, simulate_runs
 from .theory import (
     MsdPrediction,
     TheoryInputs,
-    gradient_covariance,
-    hessian_at_optimum,
     steady_state_msd,
     stepsize_upper_bound,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "convergence_iteration",
     "gamma_lk",
     "generate_random_graph",
-    "gradient_covariance",
-    "hessian_at_optimum",
     "load_edge_list",
     "metropolis_weights",
     "monte_carlo_msd",

@@ -9,40 +9,35 @@ The on-disk format is a YAML key tree with fixed sections:
     algorithms:  list of per-algorithm blocks
     sweep:       optional parameter and values for the `sweep` command
 
-Unknown keys anywhere are hard errors, and `parse_config(emit(cfg))`
-reproduces `cfg` exactly. Overrides are dotted paths into the same tree
-(`simulation.runs=50`, `algorithms.0.step_size=0.1`); the bare names
-`runs`, `seed` and `iterations` are accepted as shorthand for the
-corresponding `simulation.*` keys.
+The schema tables below are the one place that lists the keys. Each maps
+a key to its cast (for the graph, signal and simulation sections, to the
+ExperimentConfig field it sets and its cast); `build_config` reads a
+tree through them and `config_tree` writes one back, so
+`parse_config(emit(cfg))` reproduces `cfg` exactly. A key left out, or
+given as null, takes its dataclass default. Unknown keys anywhere are
+hard errors, and so is a value that its cast refuses: every number must
+be finite, booleans must be `true` or `false`, and integers integral.
+Overrides are dotted paths into the same tree (`simulation.runs=50`,
+`algorithms.0.step_size=0.1`); the bare names `runs`, `seed` and
+`iterations` are accepted as shorthand for the corresponding
+`simulation.*` keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
 
-from .engine import AlgorithmSpec, ESTIMATORS, KernelSchedule
+from .engine import AlgorithmSpec, KernelSchedule
 from .errors import ConfigError, InvalidArgumentError, UnknownKeyError
 from .noise import GmmSpec, LinkNoiseSpec
 from .simulate import NetworkProblem
 from .topology import generate_random_graph, load_edge_list, metropolis_weights
 
-_GMM_KEYS = {"c", "sigma_a2", "sigma_b2"}
-_SCHEDULE_KEYS = {"initial", "final", "switch_iteration"}
-_GRAPH_KEYS = {"nodes", "avg_degree", "seed", "edge_list"}
-_SIGNAL_KEYS = {"h", "input_variance", "observation_variance"}
-_NOISE_KEYS = {"x", "y", "phi", "after"}
-_AFTER_KEYS = {"x", "y", "phi", "switch_iteration"}
-_SIM_KEYS = {"iterations", "runs", "seed", "per_node_msd"}
-_ALGO_KEYS = {
-    "name", "estimator", "share_data", "share_weights",
-    "adaptive_combination", "step_size", "zeta2", "mcc_kernel2",
-    "chi", "epsilon",
-}
 _TOP_KEYS = {"graph", "signal", "noise", "simulation", "algorithms", "sweep"}
-_SWEEP_KEYS = {"parameter", "values"}
 _SWEEP_PARAMS = ("sigma_a2", "sigma_b2", "zeta2")
 
 _SHORTHAND = {
@@ -56,16 +51,17 @@ _SHORTHAND = {
 class ExperimentConfig:
     """Full description of one simulation experiment."""
 
-    n_nodes: int
     h: tuple
     algorithms: tuple            # AlgorithmSpec, order preserved in outputs
-    noise: LinkNoiseSpec         # phase-one link noise + observation noise
+    noise: LinkNoiseSpec         # phase-one link noise
     noise_after: LinkNoiseSpec = None   # optional second phase
     noise_switch_iteration: int = 0
+    n_nodes: int = 0             # random-graph size; unused with edge_list_path
     avg_degree: float = 3.0
     graph_seed: int = 7
     edge_list_path: str = None
     input_variance: float = 1.0
+    observation_variance: float | tuple = 0.0   # one, or one per node
     iterations: int = 1000
     monte_carlo_runs: int = 100
     seed: int = 2024
@@ -105,178 +101,188 @@ class ExperimentConfig:
             combination=weights,
             noise_phases=self.noise_phases(),
             input_variance=self.input_variance,
+            obs_var=self.observation_variance,
             seed=self.seed,
         )
 
 
-def _check_keys(mapping, allowed, where):
-    if not isinstance(mapping, dict):
+# Casts: cast(value, where) returns the field value or raises a
+# ConfigError that names the key.
+
+def _real(value, where):
+    """A finite float; a numeric string counts (YAML reads 1e-6 as one)."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _reals(value, where):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return tuple(_real(v, where) for v in value)
+
+
+def _real_or_reals(value, where):
+    """One finite float, or a list of them (one per node) as a tuple."""
+    return (_reals if isinstance(value, list) else _real)(value, where)
+
+
+def _integer(value, where):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
+def _seed(value, where):
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ConfigError(f"{where}: expected a seed >= 0, got {value!r}")
+    return seed
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _text(value, where):
+    return str(value)
+
+
+def _gmm(value, where):
+    return _make(GmmSpec, value, _GMM, where)
+
+
+def _schedule(value, where):
+    """A KernelSchedule; a bare number v is the constant schedule (v, v, 0)."""
+    if not isinstance(value, dict):
+        value = {"initial": value, "final": value, "switch_iteration": 0}
+    return _make(KernelSchedule, value, _SCHEDULE, where)
+
+
+def _after(value, where):
+    """(switch_iteration, LinkNoiseSpec) of the noise.after section."""
+    kwargs = _read(value, {**_PHASE, "switch_iteration": _integer}, where)
+    if "switch_iteration" not in kwargs:
+        raise ConfigError(f"{where}.switch_iteration is required")
+    return kwargs.pop("switch_iteration"), LinkNoiseSpec(**kwargs)
+
+
+# Schema tables. For specs whose fields are the keys: key -> cast.
+_GMM = {"c": _real, "sigma_a2": _real, "sigma_b2": _real}
+_SCHEDULE = {"initial": _real, "final": _real, "switch_iteration": _integer}
+_PHASE = {"x": _gmm, "y": _gmm, "phi": _gmm}
+_ALGORITHM = {
+    "name": _text, "estimator": _text, "share_data": _flag,
+    "share_weights": _flag, "adaptive_combination": _flag,
+    "step_size": _real_or_reals, "chi": _real, "epsilon": _real,
+    "zeta2": _schedule, "mcc_kernel2": _schedule,
+}
+# ExperimentConfig sections: key -> (field, cast).
+_SECTIONS = {
+    "graph": {
+        "nodes": ("n_nodes", _integer),
+        "avg_degree": ("avg_degree", _real),
+        "seed": ("graph_seed", _seed),
+        "edge_list": ("edge_list_path", _text),
+    },
+    "signal": {
+        "h": ("h", _reals),
+        "input_variance": ("input_variance", _real),
+        "observation_variance": ("observation_variance", _real_or_reals),
+    },
+    "simulation": {
+        "iterations": ("iterations", _integer),
+        "runs": ("monte_carlo_runs", _integer),
+        "seed": ("seed", _seed),
+        "per_node_msd": ("per_node_msd", _flag),
+    },
+}
+# The sweep section: key -> cast, in the order of ExperimentConfig.sweep.
+_SWEEP = {"parameter": _text, "values": _reals}
+_SPEC_TABLES = {GmmSpec: _GMM, KernelSchedule: _SCHEDULE}
+
+
+def _entry(key, entry):
+    """(field, cast) of a table entry; a bare cast sets the field `key`."""
+    return entry if isinstance(entry, tuple) else (key, entry)
+
+
+def _read(node, table, where):
+    """{field: cast value} for the keys that a mapping gives; null is left out."""
+    if not isinstance(node, dict):
         raise ConfigError(f"section {where!r} must be a mapping")
-    for key in mapping:
-        if key not in allowed:
+    out = {}
+    for key, value in node.items():
+        if key not in table:
             raise UnknownKeyError(f"unknown key {where}.{key}")
+        if value is not None:
+            field, cast = _entry(key, table[key])
+            out[field] = cast(value, f"{where}.{key}")
+    return out
 
 
-def _number(cast, value, where):
-    """cast(value), with a value cast cannot read reported as a ConfigError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-
-
-def _gmm(node, where):
-    if node is None:
-        return GmmSpec()
-    _check_keys(node, _GMM_KEYS, where)
-    try:
-        return GmmSpec(
-            c=float(node.get("c", 0.0)),
-            sigma_a2=float(node.get("sigma_a2", 0.0)),
-            sigma_b2=float(node.get("sigma_b2", 0.0)),
-        )
-    except (TypeError, ValueError, InvalidArgumentError) as exc:
-        raise ConfigError(f"bad noise channel at {where}: {exc}") from exc
-
-
-def _schedule(node, where):
-    if node is None:
-        return None
-    if isinstance(node, (int, float)):
-        return KernelSchedule(float(node), float(node), 0)
-    _check_keys(node, _SCHEDULE_KEYS, where)
-    missing = {"initial", "final"} - set(node)
+def _make(cls, node, table, where):
+    """cls built from the keys of node; its refusals are ConfigErrors."""
+    kwargs = _read(node, table, where)
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in kwargs]
     if missing:
-        raise ConfigError(f"{where} needs keys {sorted(missing)}")
+        raise ConfigError(f"{where} needs keys {missing}")
     try:
-        return KernelSchedule(
-            initial=float(node["initial"]),
-            final=float(node["final"]),
-            switch_iteration=int(node.get("switch_iteration", 100)),
-        )
-    except (TypeError, ValueError, InvalidArgumentError) as exc:
-        raise ConfigError(f"bad kernel schedule at {where}: {exc}") from exc
-
-
-def _algorithm(node, index):
-    where = f"algorithms.{index}"
-    _check_keys(node, _ALGO_KEYS, where)
-    if "name" not in node:
-        raise ConfigError(f"{where} needs a name")
-    est = node.get("estimator", "lms")
-    if est not in ESTIMATORS:
-        raise ConfigError(f"{where}.estimator must be one of {ESTIMATORS}")
-    step = node.get("step_size", 0.05)
-    if isinstance(step, list):
-        step = tuple(_number(float, s, f"{where}.step_size") for s in step)
-    else:
-        step = _number(float, step, f"{where}.step_size")
-    try:
-        return AlgorithmSpec(
-            name=str(node["name"]),
-            estimator=est,
-            share_data=bool(node.get("share_data", True)),
-            share_weights=bool(node.get("share_weights", True)),
-            adaptive_combination=bool(node.get("adaptive_combination", False)),
-            step_size=step,
-            zeta2=_schedule(node.get("zeta2"), f"{where}.zeta2"),
-            mcc_kernel2=_schedule(node.get("mcc_kernel2"),
-                                  f"{where}.mcc_kernel2"),
-            chi=float(node.get("chi", 0.05)),
-            epsilon=float(node.get("epsilon", 1e-6)),
-        )
-    except (TypeError, ValueError, InvalidArgumentError) as exc:
-        raise ConfigError(f"bad algorithm at {where}: {exc}") from exc
-
-
-def _phase(node, obs_var, where):
-    return LinkNoiseSpec(
-        x=_gmm(node.get("x"), f"{where}.x"),
-        y=_gmm(node.get("y"), f"{where}.y"),
-        phi=_gmm(node.get("phi"), f"{where}.phi"),
-        obs_var=obs_var,
-    )
+        return cls(**kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _sweep(node):
-    if node is None:
-        return None
-    _check_keys(node, _SWEEP_KEYS, "sweep")
-    param = node.get("parameter")
-    if param not in _SWEEP_PARAMS:
+    kwargs = _read(node, _SWEEP, "sweep")
+    if kwargs.get("parameter") not in _SWEEP_PARAMS:
         raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMS}")
-    values = node.get("values")
-    if not isinstance(values, list) or not values:
+    if "values" not in kwargs:
         raise ConfigError("sweep.values must be a non-empty list")
-    return param, tuple(_number(float, v, "sweep.values") for v in values)
+    return kwargs["parameter"], kwargs["values"]
 
 
 def build_config(tree):
     """Turn a parsed key tree into a validated ExperimentConfig."""
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(tree, _TOP_KEYS, "<root>")
+    for key in tree:
+        if key not in _TOP_KEYS:
+            raise UnknownKeyError(f"unknown key <root>.{key}")
+    tree = {key: value for key, value in tree.items() if value is not None}
     for section in ("graph", "signal", "noise", "algorithms"):
         if section not in tree:
             raise ConfigError(f"missing section {section!r}")
-
-    graph = tree["graph"]
-    _check_keys(graph, _GRAPH_KEYS, "graph")
-    signal = tree["signal"]
-    _check_keys(signal, _SIGNAL_KEYS, "signal")
-    if "h" not in signal:
+    kwargs = {}
+    for section, table in _SECTIONS.items():
+        kwargs.update(_read(tree.get(section, {}), table, section))
+    if "h" not in kwargs:
         raise ConfigError("signal.h is required")
-    if not isinstance(signal["h"], list) or not signal["h"]:
-        raise ConfigError("signal.h must be a non-empty list")
-    h = tuple(_number(float, v, "signal.h") for v in signal["h"])
-
-    obs = signal.get("observation_variance", 0.0)
-    obs_var = np.atleast_1d(_number(lambda v: np.asarray(v, dtype=float), obs,
-                                    "signal.observation_variance"))
-
-    noise = tree["noise"]
-    _check_keys(noise, _NOISE_KEYS, "noise")
-    phase_one = _phase(noise, obs_var, "noise")
-    noise_after = None
-    switch = 0
-    if noise.get("after") is not None:
-        after = noise["after"]
-        _check_keys(after, _AFTER_KEYS, "noise.after")
-        if "switch_iteration" not in after:
-            raise ConfigError("noise.after.switch_iteration is required")
-        switch = _number(int, after["switch_iteration"],
-                         "noise.after.switch_iteration")
-        noise_after = _phase(after, obs_var, "noise.after")
-
-    sim = tree.get("simulation") or {}
-    _check_keys(sim, _SIM_KEYS, "simulation")
-
+    noise = _read(tree["noise"], {**_PHASE, "after": _after}, "noise")
+    if "after" in noise:
+        kwargs["noise_switch_iteration"], kwargs["noise_after"] = \
+            noise.pop("after")
+    kwargs["noise"] = LinkNoiseSpec(**noise)
     algos = tree["algorithms"]
     if not isinstance(algos, list) or not algos:
         raise ConfigError("algorithms must be a non-empty list")
-
+    kwargs["algorithms"] = tuple(_make(AlgorithmSpec, a, _ALGORITHM,
+                                       f"algorithms.{i}")
+                                 for i, a in enumerate(algos))
+    if "sweep" in tree:
+        kwargs["sweep"] = _sweep(tree["sweep"])
     try:
-        return ExperimentConfig(
-            n_nodes=_number(int, graph.get("nodes", 0), "graph.nodes"),
-            h=h,
-            algorithms=tuple(_algorithm(a, i) for i, a in enumerate(algos)),
-            noise=phase_one,
-            noise_after=noise_after,
-            noise_switch_iteration=switch,
-            avg_degree=_number(float, graph.get("avg_degree", 3.0),
-                               "graph.avg_degree"),
-            graph_seed=_number(int, graph.get("seed", 7), "graph.seed"),
-            edge_list_path=graph.get("edge_list"),
-            input_variance=_number(float, signal.get("input_variance", 1.0),
-                                   "signal.input_variance"),
-            iterations=_number(int, sim.get("iterations", 1000),
-                               "simulation.iterations"),
-            monte_carlo_runs=_number(int, sim.get("runs", 100),
-                                     "simulation.runs"),
-            seed=_number(int, sim.get("seed", 2024), "simulation.seed"),
-            per_node_msd=bool(sim.get("per_node_msd", False)),
-            sweep=_sweep(tree.get("sweep")),
-        )
+        return ExperimentConfig(**kwargs)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -360,78 +366,40 @@ def parse_config_text(text, overrides=()):
     return build_config(tree)
 
 
-def _gmm_tree(g):
-    return {"c": float(g.c), "sigma_a2": float(g.sigma_a2),
-            "sigma_b2": float(g.sigma_b2)}
-
-
-def _schedule_tree(s):
-    if s is None:
-        return None
-    return {"initial": float(s.initial), "final": float(s.final),
-            "switch_iteration": int(s.switch_iteration)}
-
-
-def _algo_tree(a):
-    out = {
-        "name": a.name,
-        "estimator": a.estimator,
-        "share_data": bool(a.share_data),
-        "share_weights": bool(a.share_weights),
-        "adaptive_combination": bool(a.adaptive_combination),
-        "step_size": (list(a.step_size) if isinstance(a.step_size, tuple)
-                      else float(a.step_size)),
-        "chi": float(a.chi),
-        "epsilon": float(a.epsilon),
-    }
-    if a.zeta2 is not None:
-        out["zeta2"] = _schedule_tree(a.zeta2)
-    if a.mcc_kernel2 is not None:
-        out["mcc_kernel2"] = _schedule_tree(a.mcc_kernel2)
+def _write(obj, table):
+    """The key tree of obj under table; a field that is None is left out."""
+    out = {}
+    for key, entry in table.items():
+        value = getattr(obj, _entry(key, entry)[0])
+        if value is not None:
+            out[key] = _plain(value)
     return out
+
+
+def _plain(value):
+    """A field value as YAML data: specs as key trees, tuples as lists."""
+    table = _SPEC_TABLES.get(type(value))
+    if table is not None:
+        return _write(value, table)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def config_tree(config):
     """The canonical key tree of an ExperimentConfig."""
-    obs = config.noise.obs_var
-    obs_out = float(obs[0]) if obs.size == 1 else [float(v) for v in obs]
-    graph = {"nodes": int(config.n_nodes),
-             "avg_degree": float(config.avg_degree),
-             "seed": int(config.graph_seed)}
-    if config.edge_list_path:
-        graph["edge_list"] = config.edge_list_path
-    noise = {
-        "x": _gmm_tree(config.noise.x),
-        "y": _gmm_tree(config.noise.y),
-        "phi": _gmm_tree(config.noise.phi),
-    }
+    graph, signal, simulation = (_write(config, table)
+                                 for table in _SECTIONS.values())
+    noise = _write(config.noise, _PHASE)
     if config.noise_after is not None:
-        noise["after"] = {
-            "switch_iteration": int(config.noise_switch_iteration),
-            "x": _gmm_tree(config.noise_after.x),
-            "y": _gmm_tree(config.noise_after.y),
-            "phi": _gmm_tree(config.noise_after.phi),
-        }
-    tree = {
-        "graph": graph,
-        "signal": {
-            "h": [float(v) for v in config.h],
-            "input_variance": float(config.input_variance),
-            "observation_variance": obs_out,
-        },
-        "noise": noise,
-        "simulation": {
-            "iterations": int(config.iterations),
-            "runs": int(config.monte_carlo_runs),
-            "seed": int(config.seed),
-            "per_node_msd": bool(config.per_node_msd),
-        },
-        "algorithms": [_algo_tree(a) for a in config.algorithms],
-    }
+        noise["after"] = {"switch_iteration": config.noise_switch_iteration,
+                          **_write(config.noise_after, _PHASE)}
+    tree = {"graph": graph, "signal": signal, "noise": noise,
+            "simulation": simulation,
+            "algorithms": [_write(a, _ALGORITHM) for a in config.algorithms]}
     if config.sweep is not None:
-        param, values = config.sweep
-        tree["sweep"] = {"parameter": param,
-                         "values": [float(v) for v in values]}
+        tree["sweep"] = {key: _plain(value)
+                         for key, value in zip(_SWEEP, config.sweep)}
     return tree
 
 

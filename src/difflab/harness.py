@@ -290,7 +290,7 @@ def closed_form(config, algo, problem=None, compare=False):
         if unmodeled:
             raise UnmodeledCaseError(reason, detail)
     ti = theory_inputs(config, algo, problem)
-    bounds = np.array([stepsize_upper_bound(ti, k) for k in range(ti.n_nodes)])
+    bounds = stepsize_upper_bound(ti)
     if compare and (ti.mu >= bounds).any():
         k = int(np.argmax(ti.mu >= bounds))
         raise UnmodeledCaseError("step_size", f"step size {ti.mu[k]:.4g} at "

@@ -1,4 +1,4 @@
-"""Observation and link noise models.
+"""Link noise models.
 
 Link noise is zero-mean and either Gaussian or a two-component Gaussian
 mixture whose small-probability high-variance component models impulsive
@@ -35,47 +35,21 @@ class GmmSpec:
         if not (0.0 <= self.sigma_a2 < np.inf and 0.0 <= self.sigma_b2 < np.inf):
             raise InvalidArgumentError("variances must be finite and nonnegative")
 
-    @property
-    def total_variance(self):
-        return (1.0 - self.c) * self.sigma_a2 + self.c * self.sigma_b2
-
 
 ZERO_CHANNEL = GmmSpec()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinkNoiseSpec:
-    """Noise parameters for a network: per-channel mixtures plus observation noise.
+    """Link noise of one phase: a mixture per channel.
 
     Channels are uniform across cross links (the common experimental
-    setting); self-links are noiseless by construction. obs_var is the
-    per-node observation noise variance sigma_k^2.
+    setting); self-links are noiseless by construction.
     """
 
     x: GmmSpec = ZERO_CHANNEL
     y: GmmSpec = ZERO_CHANNEL
     phi: GmmSpec = ZERO_CHANNEL
-    obs_var: np.ndarray = None
-
-    def __post_init__(self):
-        ov = np.atleast_1d(np.asarray(
-            self.obs_var if self.obs_var is not None else 0.0, dtype=float))
-        if (ov < 0).any():
-            raise InvalidArgumentError("observation variances must be >= 0")
-        ov = ov.copy()
-        ov.setflags(write=False)
-        object.__setattr__(self, "obs_var", ov)
-
-    # obs_var is an ndarray, so dataclass-generated equality would be
-    # ambiguous; compare it elementwise instead
-    def __eq__(self, other):
-        if not isinstance(other, LinkNoiseSpec):
-            return NotImplemented
-        return (self.x, self.y, self.phi) == (other.x, other.y, other.phi) \
-            and np.array_equal(self.obs_var, other.obs_var)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.phi, self.obs_var.tobytes()))
 
 
 def mixture_draws(normals, uniforms, c, std_a, std_b):
@@ -98,6 +72,7 @@ def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):
 
     Computed from the base (outlier-free) variances of each channel:
     (sigma_l^2 + sigma_{lk,y}^2) / sigma_{lk,x}^2. Broadcasts over arrays.
+    A ratio past the float range is inf, whose limit the closed form takes.
     """
     if np.any(np.less(sigma_l2, 0)) or np.any(np.less(sigma_lk_y2, 0)):
         raise InvalidArgumentError("noise variances must be >= 0")
@@ -106,4 +81,5 @@ def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):
             "TLS ratio undefined for zero input-channel variance; "
             "use the MSE (self-link) path instead"
         )
-    return (sigma_l2 + sigma_lk_y2) / sigma_lk_x2
+    with np.errstate(over="ignore"):
+        return (sigma_l2 + sigma_lk_y2) / sigma_lk_x2

@@ -77,8 +77,9 @@ class NetworkProblem:
     """Everything static about one experiment scenario.
 
     noise_phases is a tuple of (start_iteration, LinkNoiseSpec), sorted;
-    a phase applies from its start iteration inclusive. Observation
-    noise comes from the first phase and does not switch.
+    a phase applies from its start iteration inclusive. obs_var holds the
+    observation noise variance, one for all nodes or one per node; it
+    does not switch with the phase.
     """
 
     graph: NetworkGraph
@@ -87,22 +88,25 @@ class NetworkProblem:
     combination: CombinationMatrix
     noise_phases: tuple
     input_variance: float = 1.0
+    obs_var: np.ndarray = 0.0
     seed: int = 0
     links: LinkStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        for name, ndmin in (("h", 0), ("obs_var", 1)):
+            v = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         if not self.noise_phases or self.noise_phases[0][0] != 0:
             raise InvalidArgumentError("first noise phase must start at iteration 0")
         if self.input_variance <= 0:
             raise InvalidArgumentError("input variance must be positive")
-        for _, spec in self.noise_phases:
-            if spec.obs_var.size not in (1, self.graph.n_nodes):
-                raise InvalidArgumentError(
-                    f"{spec.obs_var.size} observation variances for "
-                    f"{self.graph.n_nodes} nodes; give one or one per node")
+        if (self.obs_var < 0).any():
+            raise InvalidArgumentError("observation variances must be >= 0")
+        if self.obs_var.size not in (1, self.graph.n_nodes):
+            raise InvalidArgumentError(
+                f"{self.obs_var.size} observation variances for "
+                f"{self.graph.n_nodes} nodes; give one or one per node")
         object.__setattr__(self, "links", LinkStructure.from_graph(self.graph))
 
     @property
@@ -114,9 +118,8 @@ class NetworkProblem:
         return self.h.size
 
     def obs_std(self):
-        """Per-node observation noise std (from the first phase)."""
-        obs_var = self.noise_phases[0][1].obs_var
-        return np.sqrt(np.broadcast_to(obs_var, (self.n_nodes,)))
+        """Per-node observation noise std."""
+        return np.sqrt(np.broadcast_to(self.obs_var, (self.n_nodes,)))
 
     def run_rng(self, run_index):
         return np.random.default_rng(

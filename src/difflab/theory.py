@@ -95,13 +95,17 @@ class TheoryInputs:
         u = float(self.h @ self.h) + self.gamma[cross]
         z2 = self.zeta2[cross]
         sx2 = self.sigma_x2[cross]
-        p = sx2 / (z2 * z2 * u * u) * (z2 / (2.0 * sx2 + z2)) ** 1.5
         hess = eye.astype(float)
-        hess[cross] = (z2 / (sx2 + z2)) ** 1.5 / (z2 * u)
+        with np.errstate(over="ignore"):   # past the float range: p = 0
+            p = sx2 / (z2 * z2 * u * u) * (z2 / (2.0 * sx2 + z2)) ** 1.5
+            hess[cross] = (z2 / (sx2 + z2)) ** 1.5 / (z2 * u)
+        # at u = inf (gamma past the float range) take the u -> inf limit,
+        # where every cross-link factor is 0
+        pu = p * np.where(np.isinf(u), 0.0, u)
         q_r = np.diag(self.obs_var)
-        q_r[cross] = p * u
+        q_r[cross] = pu
         q_i = np.zeros_like(q_r)
-        q_i[cross] = p * u * sx2
+        q_i[cross] = pu * sx2
         q_h = np.zeros_like(q_r)
         q_h[cross] = p * sx2
         return mask, hess, q_r, q_i, q_h
@@ -115,26 +119,6 @@ class MsdPrediction:
     msd_db: float
     rho: float
     iterations_used: int
-
-
-def _check_link(mask, l, k):
-    if not mask[l, k]:
-        raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
-
-
-def hessian_at_optimum(inputs, l, k):
-    """Expected gradient Jacobian H_lk = -hess[l, k] R_l at the true weights."""
-    mask, hess, *_ = inputs.link_factors
-    _check_link(mask, l, k)
-    return -hess[l, k] * inputs.R[l]
-
-
-def gradient_covariance(inputs, l, k):
-    """Gradient covariance Q_lk at the true weights (see link_factors)."""
-    mask, _, q_r, q_i, q_h = inputs.link_factors
-    _check_link(mask, l, k)
-    return (q_r[l, k] * inputs.R[l] + q_i[l, k] * np.eye(inputs.dim)
-            - q_h[l, k] * np.outer(inputs.h, inputs.h))
 
 
 def _block_diag(blocks):
@@ -187,14 +171,13 @@ def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def stepsize_upper_bound(inputs, k):
-    """Largest stable step size for node k: 2 / rho(sum_l alpha_lk H_lk(h))."""
-    S = _summed_hessian(inputs)[k]
-    rho = float(np.abs(np.linalg.eigvals(S)).max())
-    if rho == 0.0:
+def stepsize_upper_bound(inputs):
+    """(N,) largest stable step size per node: 2 / rho(sum_l alpha_lk H_lk(h))."""
+    rho = np.abs(np.linalg.eigvals(_summed_hessian(inputs))).max(axis=1)
+    if (rho == 0.0).any():
         raise InvalidArgumentError(
-            f"summed Hessian at node {k} is zero; step-size bound is infinite"
-        )
+            f"summed Hessian at node {np.argmin(rho)} is zero; "
+            "step-size bound is infinite")
     return 2.0 / rho
 
 

@@ -31,7 +31,12 @@ from difflab.theory import (
 )
 from difflab.topology import NetworkGraph, metropolis_weights
 from reference import SharedSample, mtc_cost
-from theory_reference import mean_recursion_matrix, steady_state_msd_bruteforce
+from theory_reference import (
+    gradient_covariance,
+    hessian_at_optimum,
+    mean_recursion_matrix,
+    steady_state_msd_bruteforce,
+)
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 
@@ -101,7 +106,6 @@ def test_criterion_2_expectations_match_monte_carlo():
         sigma_y2=np.full((2, 2), sy2), sigma_phi2=np.zeros((2, 2)),
         gamma=np.full((2, 2), gamma), zeta2=np.full((2, 2), z2),
     )
-    from difflab.theory import gradient_covariance, hessian_at_optimum
     H = hessian_at_optimum(ti, 0, 1)
     Q = gradient_covariance(ti, 0, 1)
 
@@ -196,7 +200,7 @@ def test_criterion_4_stability_bound_brackets_divergence():
     cfg = gaussian_n10_config(100, 2000)
     algo = cfg.algorithms[0]
     ti = theory_inputs(cfg, algo)
-    bounds = np.array([stepsize_upper_bound(ti, k) for k in range(10)])
+    bounds = stepsize_upper_bound(ti)
 
     outcomes = {}
     for factor in (0.5, 5.0):

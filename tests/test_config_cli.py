@@ -2,6 +2,7 @@ import glob
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 import yaml
@@ -20,6 +21,7 @@ from difflab.errors import ConfigError, InstabilityError, UnknownKeyError
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 PRESETS = sorted(glob.glob(os.path.join(PRESET_DIR, "*.cfg")))
+COMPARE_CFG = os.path.join(PRESET_DIR, "compare.cfg")
 
 SMALL_CFG = """
 graph: {nodes: 5, avg_degree: 3, seed: 3}
@@ -138,6 +140,99 @@ def test_config_tree_matches_build(small_cfg_path):
     assert build_config(config_tree(cfg)) == cfg
 
 
+_POSITIVE = st.floats(1e-6, 1e6)
+_NONNEGATIVE = st.floats(0.0, 10.0)
+_GMM_TREES = st.fixed_dictionaries({}, optional={
+    "c": st.floats(0.0, 1.0), "sigma_a2": _NONNEGATIVE,
+    "sigma_b2": _NONNEGATIVE})
+_SCHEDULE_TREES = st.one_of(_POSITIVE, st.fixed_dictionaries(
+    {"initial": _POSITIVE, "final": _POSITIVE},
+    optional={"switch_iteration": st.integers(0, 10**6)}))
+
+
+def _one_or_list(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=4))
+
+
+def _algorithm_trees(name):
+    # mtc needs a zeta2 schedule and mcc a kernel schedule; lms may be
+    # left to the default estimator
+    def tree(estimator):
+        required = {"name": st.just(name)}
+        optional = {
+            "share_data": st.booleans(), "share_weights": st.booleans(),
+            "adaptive_combination": st.booleans(),
+            "step_size": _one_or_list(_POSITIVE), "chi": st.floats(1e-3, 1.0),
+            "epsilon": _POSITIVE, "zeta2": _SCHEDULE_TREES,
+            "mcc_kernel2": _SCHEDULE_TREES,
+        }
+        for key in {"mtc": ["zeta2"], "mcc": ["mcc_kernel2"]}.get(estimator, []):
+            required[key] = optional.pop(key)
+        if estimator == "lms":
+            optional["estimator"] = st.just(estimator)
+        else:
+            required["estimator"] = st.just(estimator)
+        return st.fixed_dictionaries(required, optional=optional)
+    return st.sampled_from(["lms", "mcc", "mtc", "gdtls"]).flatmap(tree)
+
+
+_CONFIG_TREES = st.fixed_dictionaries({
+    "graph": st.fixed_dictionaries({}, optional={
+        "nodes": st.integers(2, 100), "avg_degree": _POSITIVE,
+        "seed": st.integers(0, 2**63), "edge_list": st.just("net.edges")}),
+    "signal": st.fixed_dictionaries(
+        {"h": st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4)},
+        optional={"input_variance": _POSITIVE,
+                  "observation_variance": _one_or_list(_NONNEGATIVE)}),
+    "noise": st.fixed_dictionaries({}, optional={
+        "x": _GMM_TREES, "y": _GMM_TREES, "phi": _GMM_TREES,
+        "after": st.fixed_dictionaries(
+            {"switch_iteration": st.integers(0, 10**6)},
+            optional={"x": _GMM_TREES, "y": _GMM_TREES, "phi": _GMM_TREES})}),
+    "algorithms": st.integers(1, 3).flatmap(lambda n: st.tuples(
+        *(_algorithm_trees(f"a{i}") for i in range(n))).map(list)),
+}, optional={
+    "simulation": st.fixed_dictionaries({}, optional={
+        "iterations": st.integers(1, 10**6), "runs": st.integers(1, 10**4),
+        "seed": st.integers(0, 2**63), "per_node_msd": st.booleans()}),
+    "sweep": st.fixed_dictionaries({
+        "parameter": st.sampled_from(["sigma_a2", "sigma_b2", "zeta2"]),
+        "values": st.lists(_POSITIVE, min_size=1, max_size=4)}),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIG_TREES)
+def test_schema_round_trip(tree):
+    cfg = build_config(tree)
+    assert parse_config_text(emit(cfg)) == cfg
+    assert build_config(config_tree(cfg)) == cfg
+
+
+@pytest.mark.parametrize("override", [
+    'algorithms.0.share_data="false"',
+    "algorithms.0.adaptive_combination=[0]",
+    "simulation.runs=true",
+    "simulation.runs=2.5",
+    "graph.nodes=10.9",
+    "algorithms.0.zeta2.switch_iteration=1.5",
+    "signal.observation_variance=.nan",
+    "signal.input_variance=.nan",
+    "signal.input_variance=.inf",
+    "signal.h=[.nan,1]",
+    "algorithms.0.epsilon=.nan",
+    "graph.seed=-1",
+    "simulation.seed=-1",
+])
+def test_cli_strict_casts_are_config_errors(override, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["theory", "--config", COMPARE_CFG, "--out", str(out),
+                     "--set", override])
+    assert code == cli.EXIT_PARSE
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path", PRESETS, ids=os.path.basename)
 def test_cli_validate_presets(path, capsys):
     assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
@@ -251,6 +346,21 @@ def test_cli_theory_skips_phase_one_mixture_noise(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert (out / "theory_report.txt").read_text() == \
         "dmtc.skipped=mixture_link_noise\n"
+
+
+def test_cli_theory_takes_the_limit_at_huge_link_noise(tmp_path, capsys):
+    # at 1e308 gamma is past the float range; the cross-link factors take
+    # their u -> inf limit, which 1e300 already reaches
+    def msd_line(sigma_a2):
+        out = tmp_path / sigma_a2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["theory", "--config", COMPARE_CFG, "--out",
+                             str(out), "--set", f"noise.y.sigma_a2={sigma_a2}"])
+        assert code == cli.EXIT_OK
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        return (out / "theory_report.txt").read_text().splitlines()[-1]
+    assert msd_line("1e308") == msd_line("1e300") == "dmtc.msd_db=-8.040837"
 
 
 def test_cli_theory_computes_rho_once_per_algorithm(tmp_path, monkeypatch,
@@ -400,9 +510,19 @@ _THEORY_OVERRIDES = st.one_of(
     st.tuples(st.sampled_from(["algorithms.0.share_data",
                                "algorithms.0.share_weights",
                                "algorithms.0.adaptive_combination"]),
-              st.sampled_from(["true", "false"])),
-    st.tuples(st.sampled_from(["algorithms.0.step_size", "algorithms.0.zeta2"]),
+              st.sampled_from(["true", "false", '"false"', "[0]", "0", "1",
+                               "null"])),
+    st.tuples(st.sampled_from(["algorithms.0.step_size", "algorithms.0.zeta2",
+                               "algorithms.0.chi", "algorithms.0.epsilon",
+                               "signal.input_variance",
+                               "signal.observation_variance"]),
               _ANY_FLOAT),
+    st.tuples(st.just("signal.h"), st.lists(_ANY_FLOAT, max_size=3).map(
+        lambda values: "[" + ",".join(values) + "]")),
+    st.tuples(st.sampled_from(["simulation.runs", "graph.nodes", "graph.seed",
+                               "algorithms.0.zeta2.switch_iteration"]),
+              st.sampled_from(["2.5", "10.9", "true", '"10"', "-1", "12.0",
+                               "[10]"])),
 )
 
 

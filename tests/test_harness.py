@@ -32,15 +32,15 @@ MIXED = GmmSpec(0.01, 0.04, 10.0)
 
 
 def make_config(algorithms=None, runs=6, iterations=40, noise=None,
-                noise_after=None, switch=0, **kw):
+                noise_after=None, switch=0, observation_variance=0.1, **kw):
     if algorithms is None:
         algorithms = (AlgorithmSpec("dlms", step_size=0.1),)
     if noise is None:
-        noise = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS,
-                              obs_var=np.array([0.1]))
+        noise = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS)
     return ExperimentConfig(
         n_nodes=5, h=H, algorithms=tuple(algorithms), noise=noise,
         noise_after=noise_after, noise_switch_iteration=switch,
+        observation_variance=observation_variance,
         avg_degree=3.0, graph_seed=3, iterations=iterations,
         monte_carlo_runs=runs, seed=99, **kw,
     )
@@ -177,8 +177,8 @@ def test_all_diverged_is_an_error():
 
 
 def test_noiseless_convergence():
-    noise = LinkNoiseSpec(obs_var=np.array([0.0]))
-    cfg = make_config(runs=2, iterations=600, noise=noise)
+    cfg = make_config(runs=2, iterations=600, noise=LinkNoiseSpec(),
+                      observation_variance=0.0)
     curve = monte_carlo_msd(cfg, n_jobs=1)["dlms"]
     assert curve.msd_linear[-1] < 1e-10
 
@@ -217,8 +217,7 @@ def test_convergence_iteration():
 
 
 def test_substitute_sigma_sweeps_all_channels():
-    noise_after = LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED,
-                                obs_var=np.array([0.1]))
+    noise_after = LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED)
     cfg = make_config(noise_after=noise_after, switch=20)
     out = _substitute(cfg, "sigma_a2", 0.16)
     for spec in (out.noise, out.noise_after):
@@ -282,7 +281,7 @@ def test_theory_vs_simulation_rejections():
     # each refusal is for its own reason
     dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=0.045,
                          zeta2=KernelSchedule(1e4, 0.2, 100))
-    gauss = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS, obs_var=np.array([0.1]))
+    gauss = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS)
     cases = {
         "mixture_link_noise": make_config(
             algorithms=(dmtc,), noise=replace(gauss, x=MIXED)),
@@ -332,8 +331,7 @@ def test_theory_vs_simulation_small_gaussian():
 
 
 def test_impulsive_link_noise_degrades_dlms_more_than_steady_gaussian():
-    noise_after = LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED,
-                                obs_var=np.array([0.1]))
+    noise_after = LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED)
     cfg = make_config(runs=20, iterations=400, noise_after=noise_after,
                       switch=200)
     curve = monte_carlo_msd(cfg, n_jobs=1)["dlms"]

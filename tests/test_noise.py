@@ -7,12 +7,16 @@ from difflab.simulate import NetworkProblem, _Drawer, _PhaseParams
 from difflab.topology import generate_random_graph, metropolis_weights
 
 
+def total_variance(spec):
+    return (1.0 - spec.c) * spec.sigma_a2 + spec.c * spec.sigma_b2
+
+
 def test_gmm_spec_validation():
     with pytest.raises(InvalidArgumentError):
         GmmSpec(c=-0.1, sigma_a2=1)
     with pytest.raises(InvalidArgumentError):
         GmmSpec(c=0.5, sigma_a2=-1)
-    assert GmmSpec(0.01, 0.04, 10.0).total_variance == pytest.approx(
+    assert total_variance(GmmSpec(0.01, 0.04, 10.0)) == pytest.approx(
         0.99 * 0.04 + 0.01 * 10.0)
 
 
@@ -34,8 +38,8 @@ def test_mixture_variance_and_mean():
     spec = GmmSpec(0.01, 0.04, 10.0)
     rng = np.random.default_rng(42)
     x = sample(spec, rng, 1_000_000)
-    assert np.var(x) == pytest.approx(spec.total_variance, rel=0.03)
-    assert abs(np.mean(x)) < 4 * np.sqrt(spec.total_variance) / 1e3
+    assert np.var(x) == pytest.approx(total_variance(spec), rel=0.03)
+    assert abs(np.mean(x)) < 4 * np.sqrt(total_variance(spec)) / 1e3
 
 
 def test_mixture_heavy_tails():
@@ -50,8 +54,8 @@ def test_drawer_self_links_noiseless():
     graph = generate_random_graph(6, 3, seed=1)
     w = metropolis_weights(graph)
     mixed = GmmSpec(0.3, 0.04, 10.0)
-    spec = LinkNoiseSpec(x=mixed, y=mixed, phi=mixed, obs_var=np.array([0.1]))
-    problem = NetworkProblem(graph, np.ones(3), w, w, ((0, spec),))
+    spec = LinkNoiseSpec(x=mixed, y=mixed, phi=mixed)
+    problem = NetworkProblem(graph, np.ones(3), w, w, ((0, spec),), obs_var=0.1)
     ls = problem.links
     phase = _PhaseParams.build(0, spec, ls, problem.obs_std() ** 2)
     rngs = [problem.run_rng(r) for r in range(4)]
@@ -82,14 +86,16 @@ def test_gamma_lk_values():
 def test_link_noise_spec_channels():
     spec = LinkNoiseSpec(
         x=GmmSpec(0, 0.04, 0), y=GmmSpec(0, 0.02, 0),
-        phi=GmmSpec(0.01, 0.04, 10.0), obs_var=np.array([0.1, 0.2]))
+        phi=GmmSpec(0.01, 0.04, 10.0))
     assert spec.phi.c == 0.01
-    assert spec.obs_var[1] == 0.2
+    assert spec.y.sigma_a2 == 0.02
+    assert LinkNoiseSpec().x == GmmSpec()
 
 
 def test_link_noise_spec_equality():
-    a = LinkNoiseSpec(obs_var=np.array([0.1, 0.1]))
-    b = LinkNoiseSpec(obs_var=np.array([0.1, 0.1]))
-    c = LinkNoiseSpec(obs_var=np.array([0.1, 0.2]))
+    a = LinkNoiseSpec(x=GmmSpec(0, 0.04, 0))
+    b = LinkNoiseSpec(x=GmmSpec(0, 0.04, 0))
+    c = LinkNoiseSpec(x=GmmSpec(0, 0.02, 0))
     assert a == b
+    assert hash(a) == hash(b)
     assert a != c

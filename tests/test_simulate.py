@@ -21,15 +21,15 @@ def make_problem(n=5, seed=11, gmm_after=True):
     graph = generate_random_graph(n, 3, seed=3)
     weights = metropolis_weights(graph)
     gauss = GmmSpec(0.0, 0.04, 0.0)
-    phase1 = LinkNoiseSpec(x=gauss, y=gauss, phi=gauss, obs_var=np.array([0.1]))
+    phase1 = LinkNoiseSpec(x=gauss, y=gauss, phi=gauss)
     phases = [(0, phase1)]
     if gmm_after:
         mixed = GmmSpec(0.05, 0.04, 10.0)
-        phases.append((12, LinkNoiseSpec(x=mixed, y=mixed, phi=mixed,
-                                         obs_var=np.array([0.1]))))
+        phases.append((12, LinkNoiseSpec(x=mixed, y=mixed, phi=mixed)))
     return NetworkProblem(
         graph=graph, h=H, adaptation=weights, combination=weights,
-        noise_phases=tuple(phases), input_variance=1.0, seed=seed,
+        noise_phases=tuple(phases), input_variance=1.0, obs_var=0.1,
+        seed=seed,
     )
 
 
@@ -130,7 +130,7 @@ def test_beta_rows_tracked_as_convex():
 def test_problem_validation():
     graph = generate_random_graph(4, 3, seed=0)
     w = metropolis_weights(graph)
-    spec = LinkNoiseSpec(obs_var=np.array([0.1]))
+    spec = LinkNoiseSpec()
     with pytest.raises(InvalidArgumentError):
         NetworkProblem(graph, H, w, w, ((5, spec),))
     with pytest.raises(InvalidArgumentError):
@@ -143,8 +143,8 @@ def test_problem_validation():
 def test_per_node_observation_variance():
     graph = generate_random_graph(3, 2, seed=5)
     w = metropolis_weights(graph)
-    spec = LinkNoiseSpec(obs_var=np.array([0.1, 0.4, 0.9]))
-    problem = NetworkProblem(graph, H, w, w, ((0, spec),))
+    problem = NetworkProblem(graph, H, w, w, ((0, LinkNoiseSpec()),),
+                             obs_var=(0.1, 0.4, 0.9))
     assert np.allclose(problem.obs_std(), [np.sqrt(0.1), np.sqrt(0.4),
                                            np.sqrt(0.9)])
 
@@ -153,7 +153,7 @@ def test_noiseless_self_contained_convergence():
     # no observation or link noise: LMS drives every node to h exactly
     graph = generate_random_graph(4, 3, seed=2)
     w = metropolis_weights(graph)
-    spec = LinkNoiseSpec(obs_var=np.array([0.0]))
+    spec = LinkNoiseSpec()
     problem = NetworkProblem(graph, H, w, w, ((0, spec),), seed=1)
     res = simulate_runs(problem, AlgorithmSpec("lms", step_size=0.1),
                         [0], 600)

@@ -15,8 +15,6 @@ from difflab.theory import (
     _block_diag,
     _noise_driver_matrices,
     _summed_hessian,
-    gradient_covariance,
-    hessian_at_optimum,
     spectral_radius,
     steady_state_msd,
     stepsize_upper_bound,
@@ -30,6 +28,8 @@ from theory_reference import (
     block_diag_hessian_by_links,
     combination_noise_tradeoff,
     fixed_point_msd,
+    gradient_covariance,
+    hessian_at_optimum,
     mean_recursion_matrix,
     noise_drivers_by_links,
     steady_state_msd_bruteforce,
@@ -159,7 +159,7 @@ def test_single_node_lms_recursion():
     B, rho = mean_recursion_matrix(ti)
     assert np.allclose(B, (1 - mu * su2) * np.eye(2))
     assert rho == pytest.approx(abs(1 - mu * su2), rel=1e-12)
-    assert stepsize_upper_bound(ti, 0) == pytest.approx(2.0 / su2, rel=1e-12)
+    assert stepsize_upper_bound(ti)[0] == pytest.approx(2.0 / su2, rel=1e-12)
 
 
 def test_single_node_lms_msd_closed_form():
@@ -177,12 +177,28 @@ def test_single_node_lms_msd_closed_form():
 def test_stability_bound_brackets_divergence():
     ti = make_inputs([0.4, 0.7], np.eye(1), np.eye(1), 0.05, 0.1,
                      input_var=1.5)
-    bound = stepsize_upper_bound(ti, 0)
+    (bound,) = stepsize_upper_bound(ti)
     for factor, stable in ((0.5, True), (0.99, True), (1.01, False)):
         scaled = make_inputs([0.4, 0.7], np.eye(1), np.eye(1),
                              factor * bound, 0.1, input_var=1.5)
         _, rho = mean_recursion_matrix(scaled)
         assert (rho < 1.0) == stable
+
+
+def test_stepsize_bounds_match_per_node_eigenvalues():
+    cfg = parse_config(COMPARE_CFG)
+    ti = theory_inputs(cfg, cfg.algorithms[0])
+    S = _summed_hessian(ti)
+    per_node = [2.0 / np.abs(np.linalg.eigvals(S[k])).max()
+                for k in range(ti.n_nodes)]
+    assert stepsize_upper_bound(ti).tolist() == per_node
+
+
+def test_zero_summed_hessian_names_its_node():
+    ti = make_inputs([0.4, 0.7], np.eye(3), np.eye(3), 0.05, 0.1)
+    ti.R[1] = 0.0
+    with pytest.raises(InvalidArgumentError, match="node 1 is zero"):
+        stepsize_upper_bound(ti)
 
 
 def test_unstable_msd_raises():

@@ -5,8 +5,9 @@ Test oracles only: the mean recursion matrix B and its spectral radius
 the fixed-point MSD iteration, which adds one term of the series per
 step where steady_state_msd doubles, the direct (I - F)^{-1} solve with
 F materialized, the trace decomposition of the noise drivers, and the
-per-link assembly of the Hessian and noise-driver blocks from
-hessian_at_optimum and gradient_covariance.
+per-link Hessian H_lk and gradient covariance Q_lk at the true weights
+(hessian_at_optimum, gradient_covariance) and the assembly of the
+Hessian and noise-driver blocks from them, one link at a time.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,6 @@ from difflab.theory import (
     MsdPrediction,
     _noise_driver_matrices,
     _script_matrices,
-    gradient_covariance,
-    hessian_at_optimum,
     spectral_radius,
 )
 
@@ -36,6 +35,26 @@ class TradeoffReport:
 
 def in_neighborhood(inputs, l, k):
     return inputs.A[l, k] != 0 or inputs.C[l, k] != 0 or l == k
+
+
+def _check_link(mask, l, k):
+    if not mask[l, k]:
+        raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
+
+
+def hessian_at_optimum(inputs, l, k):
+    """Expected gradient Jacobian H_lk = -hess[l, k] R_l at the true weights."""
+    mask, hess, *_ = inputs.link_factors
+    _check_link(mask, l, k)
+    return -hess[l, k] * inputs.R[l]
+
+
+def gradient_covariance(inputs, l, k):
+    """Gradient covariance Q_lk at the true weights (see link_factors)."""
+    mask, _, q_r, q_i, q_h = inputs.link_factors
+    _check_link(mask, l, k)
+    return (q_r[l, k] * inputs.R[l] + q_i[l, k] * np.eye(inputs.dim)
+            - q_h[l, k] * np.outer(inputs.h, inputs.h))
 
 
 def mean_recursion_matrix(inputs):

@@ -28,7 +28,7 @@ from .harness import (
     theory_vs_simulation,
 )
 from .noise import GmmSpec, LinkNoiseSpec, gamma_lk
-from .simulate import NetworkProblem, simulate_runs
+from .simulate import NetworkProblem, simulate_group, simulate_runs
 from .theory import (
     MsdPrediction,
     TheoryInputs,
@@ -73,6 +73,7 @@ __all__ = [
     "metropolis_weights",
     "monte_carlo_msd",
     "save_edge_list",
+    "simulate_group",
     "simulate_runs",
     "steady_state_estimate",
     "steady_state_msd",

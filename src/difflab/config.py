@@ -127,6 +127,14 @@ def _reals(value, where):
     return tuple(_real(v, where) for v in value)
 
 
+def _vector(value, where):
+    """A non-empty list of finite floats whose squared norm is finite too."""
+    v = _reals(value, where)
+    if not math.isfinite(sum(x * x for x in v)):
+        raise ConfigError(f"{where}: squared norm is past the float range")
+    return v
+
+
 def _real_or_reals(value, where):
     """One finite float, or a list of them (one per node) as a tuple."""
     return (_reals if isinstance(value, list) else _real)(value, where)
@@ -195,7 +203,7 @@ _SECTIONS = {
         "edge_list": ("edge_list_path", _text),
     },
     "signal": {
-        "h": ("h", _reals),
+        "h": ("h", _vector),
         "input_variance": ("input_variance", _real),
         "observation_variance": ("observation_variance", _real_or_reals),
     },

@@ -2,10 +2,14 @@
 
 A scenario is fixed by an ExperimentConfig (defined in `config.py`);
 each algorithm is simulated over `monte_carlo_runs` independent
-realizations. Diverged realizations are excluded from the averages and
-counted, never silently dropped. Good runs are added to the ensemble
-sums one at a time in run-index order, so the curves are bit-identical
-however the runs are split into tasks and whatever the worker count.
+realizations. Algorithms with equal `(share_data, shares_phi)` form a
+stream group and are simulated in one pass on one draw per run and
+iteration (`simulate.simulate_group`); a pool task is one group over one
+run range. Diverged realizations are excluded from the averages and
+counted, never silently dropped. Each algorithm's good runs are added to
+its ensemble sums one at a time in run-index order, so the curves are
+bit-identical however the runs are split into tasks and grouped, and
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import (EmptyEnsembleError, InstabilityError,
                      InvalidArgumentError, UnmodeledCaseError)
 from .noise import gamma_lk
-from .simulate import simulate_runs
+from .simulate import simulate_group
 from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
                      stepsize_upper_bound)
 
@@ -65,13 +69,13 @@ def worker_count(n_jobs=None):
 
 
 def _simulate_task(args):
-    problem, algo, run_indices, iterations, per_node, track_beta = args
-    return simulate_runs(problem, algo, run_indices, iterations,
-                         record_per_node=per_node, track_beta=track_beta)
+    problem, algos, run_indices, iterations, per_node, track_beta = args
+    return simulate_group(problem, algos, run_indices, iterations,
+                          record_per_node=per_node, track_beta=track_beta)
 
 
 def _simulated(tasks, workers):
-    """simulate_runs results of tasks in task order, one at a time.
+    """simulate_group results of tasks in task order, one at a time.
 
     With more than one worker the tasks go to one process pool; closing
     the generator early cancels the tasks that have not started.
@@ -84,15 +88,59 @@ def _simulated(tasks, workers):
         yield from pool.map(_simulate_task, tasks)
 
 
+def _stream_groups(algorithms):
+    """Algorithms grouped by (share_data, shares_phi), in order of first
+    appearance; the algorithms of a group draw the same numbers."""
+    groups = {}
+    for algo in algorithms:
+        groups.setdefault((algo.share_data, algo.shares_phi), []).append(algo)
+    return [tuple(g) for g in groups.values()]
+
+
+class _Sums:
+    """One algorithm's ensemble sums; add results in run-index order."""
+
+    def __init__(self, iterations, n_nodes, per_node):
+        self.sq = np.zeros(iterations)
+        self.node = np.zeros((iterations, n_nodes)) if per_node else None
+        self.runs = 0
+        self.diverged = 0
+        self.beta_err = 0.0
+
+    def add(self, res):
+        good = np.flatnonzero(res.diverged_at < 0)
+        for r in good:
+            self.sq += res.sq_net[r]
+            if self.node is not None:
+                self.node += res.sq_node[r]
+        self.runs += res.diverged_at.size
+        self.diverged += res.diverged_at.size - good.size
+        self.beta_err = max(self.beta_err, res.beta_sum_err)
+
+    def curve(self, name, n_nodes):
+        used = self.runs - self.diverged
+        if used == 0:
+            raise EmptyEnsembleError(f"all {self.runs} runs of {name!r} diverged")
+        return LearningCurve(
+            name=name,
+            msd_linear=self.sq / (used * n_nodes),
+            runs_used=used,
+            diverged_runs=self.diverged,
+            per_node=None if self.node is None else self.node / used,
+            beta_sum_err=self.beta_err,
+        )
+
+
 def monte_carlo_msd(config, n_jobs=None, track_beta=False):
-    """Learning curves for every configured algorithm.
+    """Learning curves for every configured algorithm, in config order.
 
     MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2.
 
-    Each algorithm's runs are split into contiguous run-index ranges of
-    near-equal size: one per worker but at most one per MIN_TASK_RUNS
-    runs, and more where a range would exceed the task cap. The ranges
-    of all algorithms, in config order, share one process pool.
+    The runs are split into contiguous run-index ranges of near-equal
+    size: one per worker but at most one per MIN_TASK_RUNS runs, and
+    more where a range would exceed the task cap. A task is one stream
+    group (see _stream_groups) over one range, simulated in one pass; the
+    tasks of all groups share one process pool.
     """
     problem = config.build_problem()
     runs, iterations = config.monte_carlo_runs, config.iterations
@@ -102,39 +150,27 @@ def monte_carlo_msd(config, n_jobs=None, track_beta=False):
     n_ranges = max(math.ceil(runs / cap),
                    min(workers, math.ceil(runs / MIN_TASK_RUNS)))
     bounds = [runs * i // n_ranges for i in range(n_ranges + 1)]
-    tasks = [(problem, algo, list(range(lo, hi)), iterations, per_node,
-              track_beta and algo.adaptive_combination)
-             for algo in config.algorithms
+    groups = _stream_groups(config.algorithms)
+    tasks = [(problem, group, list(range(lo, hi)), iterations, per_node,
+              track_beta)
+             for group in groups
              for lo, hi in zip(bounds, bounds[1:])]
     n = problem.n_nodes
+    sums = {algo.name: _Sums(iterations, n, per_node)
+            for algo in config.algorithms}
+    pending = list(config.algorithms)
+    done = set()
     curves = {}
     with closing(_simulated(tasks, workers)) as results:
-        for algo in config.algorithms:
-            sq_sum = np.zeros(iterations)
-            node_sum = np.zeros((iterations, n)) if per_node else None
-            diverged = 0
-            beta_err = 0.0
-            for res in islice(results, n_ranges):
-                good = np.flatnonzero(res.diverged_at < 0)
-                for r in good:
-                    sq_sum += res.sq_net[r]
-                    if per_node:
-                        node_sum += res.sq_node[r]
-                diverged += res.diverged_at.size - good.size
-                beta_err = max(beta_err, res.beta_sum_err)
-            used = runs - diverged
-            if used == 0:
-                raise EmptyEnsembleError(
-                    f"all {runs} runs of {algo.name!r} diverged"
-                )
-            curves[algo.name] = LearningCurve(
-                name=algo.name,
-                msd_linear=sq_sum / (used * n),
-                runs_used=used,
-                diverged_runs=diverged,
-                per_node=None if node_sum is None else node_sum / used,
-                beta_sum_err=beta_err,
-            )
+        for group in groups:
+            for group_res in islice(results, n_ranges):
+                for algo, res in zip(group, group_res):
+                    sums[algo.name].add(res)
+            done.update(algo.name for algo in group)
+            # curves in config order, each once its group is done
+            while pending and pending[0].name in done:
+                algo = pending.pop(0)
+                curves[algo.name] = sums[algo.name].curve(algo.name, n)
     return curves
 
 

@@ -16,6 +16,12 @@ then per-channel link noise in x, y, phi order) followed by one uniform
 block for the mixture outlier indicators when the active noise phase has
 any outlier probability. Results for a given run index are therefore
 bit-identical no matter how runs are batched.
+
+The draws depend only on `(share_data, shares_phi)`, which fixes the
+link channels, the run index and the noise phase. Algorithms that agree
+on the pair form a stream group: `simulate_group` advances them in
+lockstep on one draw per run and iteration, and each gets exactly the
+records it gets alone (`simulate_runs`, a group of one).
 """
 
 from __future__ import annotations
@@ -236,30 +242,136 @@ def _phase_for(phases, i):
     return [p for p in phases if p.start <= i][-1]
 
 
-def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
-                  track_beta=False):
-    """Simulate a batch of realizations of one algorithm.
+class _Variant:
+    """One algorithm's state and update within a group's lockstep pass."""
+
+    def __init__(self, problem, algo, R, iterations, record_per_node,
+                 track_beta):
+        ls = problem.links
+        n, L, E = problem.n_nodes, problem.dim, ls.n_links
+        self.algo = algo
+        self.links, self.h = ls, problem.h
+        self.cdst = ls.dst[ls.cross_idx]
+        self.mu = algo.step_sizes(n)
+        self.alpha = (problem.adaptation.entries[ls.src, ls.dst]
+                      if algo.share_data else None)
+        self.cfix = None
+        if algo.shares_phi and not algo.adaptive_combination:
+            self.cfix = problem.combination.entries[ls.src, ls.dst]
+        self.track_beta = track_beta
+        self.W = np.zeros((R, n, L))
+        self.delta2 = np.ones((R, E))
+        self.active = np.ones(R, dtype=bool)
+        self.diverged_at = np.full(R, -1, dtype=np.int64)
+        self.sq_net = np.empty((R, iterations))
+        self.sq_node = (np.empty((R, iterations, n)) if record_per_node
+                        else None)
+        self.beta_sum_err = 0.0
+
+    def step(self, i, ph, d, X, y, Xs, ys):
+        """One adapt-then-combine iteration on the group's shared draws."""
+        algo, mu, W = self.algo, self.mu, self.W
+        ls, h = self.links, self.h
+        R, E, L = W.shape[0], ls.n_links, W.shape[2]
+        src, dst, starts = ls.src, ls.dst, ls.seg_starts
+        cross, self_idx = ls.cross_idx, ls.self_idx
+        est = algo.estimator
+
+        # the self-link LMS gradient; the adaptive rule's one-step
+        # prediction uses it too
+        g_node = lms_gradient(W, X, y)
+
+        if algo.share_data:
+            Wd = W[:, self.cdst, :]
+            if est == "mcc":
+                gc = mcc_gradient(Wd, Xs, ys, algo.mcc_kernel2.value(i))
+            elif est == "mtc" and ph.tls_ok:
+                gc = mtc_gradient(Wd, Xs, ys, algo.zeta2.value(i), ph.gamma)
+            elif est == "gdtls" and ph.tls_ok:
+                gc = gdtls_gradient(Wd, Xs, ys, ph.gamma)
+            else:
+                gc = lms_gradient(Wd, Xs, ys)
+            g = np.empty((R, E, L))
+            g[:, cross] = gc
+            g[:, self_idx] = g_node
+            phi = W + mu[None, :, None] * np.add.reduceat(
+                self.alpha[None, :, None] * g, starts, axis=1
+            )
+        else:
+            phi = W + mu[None, :, None] * g_node
+
+        if algo.shares_phi:
+            phis = phi[:, src, :] + d.nphi
+            if algo.adaptive_combination:
+                gn = np.sqrt(np.einsum("rnl,rnl->rn", g_node, g_node))
+                w_hat = W + (mu[None, :] / (gn + algo.epsilon))[..., None] * g_node
+                dev = phis - w_hat[:, dst, :]
+                dev2 = np.einsum("rel,rel->re", dev, dev)
+                delta2 = (1.0 - algo.chi) * self.delta2 + algo.chi * dev2
+                np.maximum(delta2, DELTA2_FLOOR, out=delta2)
+                self.delta2 = delta2
+                inv = 1.0 / delta2
+                beta = inv / np.add.reduceat(inv, starts, axis=1)[:, dst]
+                if self.track_beta:
+                    sums = np.add.reduceat(beta, starts, axis=1)
+                    active = self.active
+                    err = float(np.abs(sums[active] - 1.0).max()) if active.any() else 0.0
+                    self.beta_sum_err = max(self.beta_sum_err, err)
+            else:
+                beta = np.broadcast_to(self.cfix, (R, E))
+            W_new = np.add.reduceat(beta[..., None] * phis, starts, axis=1)
+        else:
+            W_new = phi
+
+        node_norm2 = np.einsum("rnl,rnl->rn", W_new, W_new)
+        ok = np.isfinite(node_norm2).all(axis=1) & (
+            np.max(node_norm2, axis=1) <= DIVERGENCE_NORM**2
+        )
+        newly_bad = self.active & ~ok
+        if newly_bad.any():
+            self.diverged_at[newly_bad] = i
+            self.active &= ok
+        keep = self.active[:, None, None]
+        W = self.W = np.where(keep, W_new, W)
+
+        diff = W - h
+        sq = np.einsum("rnl,rnl->rn", diff, diff)
+        self.sq_net[:, i] = sq.sum(axis=1)
+        if self.sq_node is not None:
+            self.sq_node[:, i, :] = sq
+
+    def result(self):
+        return SimResult(self.sq_net, self.diverged_at, self.sq_node,
+                         self.beta_sum_err, self.W)
+
+
+def simulate_group(problem, algos, run_indices, iterations,
+                   record_per_node=False, track_beta=False):
+    """Simulate a batch of realizations of algorithms that share a stream.
+
+    The algorithms must agree on `(share_data, shares_phi)`, which fixes
+    the draws (see the randomness contract); they advance in lockstep on
+    one draw per iteration, and each keeps its own state and records.
+    Returns one SimResult per algorithm, in order.
 
     Weight vectors start at zero. A run is marked diverged at the first
     iteration where any node norm exceeds 1e6 or goes non-finite; its
     state freezes at the last good iterate and its record is carried
-    forward unchanged.
+    forward unchanged. A diverged run freezes only its own algorithm.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
+    if not algos:
+        raise InvalidArgumentError("a group needs at least one algorithm")
+    streams = {(a.share_data, a.shares_phi) for a in algos}
+    if len(streams) > 1:
+        raise InvalidArgumentError(
+            "algorithms of one group must agree on (share_data, shares_phi); "
+            f"got {sorted(streams)}")
+    (use_cross, use_phi), = streams
     ls = problem.links
-    n, L, E = problem.n_nodes, problem.dim, ls.n_links
     R = len(run_indices)
     h = problem.h
-    mu = algo.step_sizes(n)
-    use_cross = algo.share_data
-    use_phi = algo.shares_phi
-    est = algo.estimator
-
-    alpha = problem.adaptation.entries[ls.src, ls.dst] if use_cross else None
-    cfix = None
-    if use_phi and not algo.adaptive_combination:
-        cfix = problem.combination.entries[ls.src, ls.dst]
 
     phases = [
         _PhaseParams.build(start, spec, ls, problem.obs_std() ** 2)
@@ -267,88 +379,28 @@ def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
     ]
     drawer = _Drawer(problem, use_cross, use_phi)
     rngs = [problem.run_rng(r) for r in run_indices]
-
-    W = np.zeros((R, n, L))
-    delta2 = np.ones((R, E))
-    active = np.ones(R, dtype=bool)
-    diverged_at = np.full(R, -1, dtype=np.int64)
-    sq_net = np.empty((R, iterations))
-    sq_node = np.empty((R, iterations, n)) if record_per_node else None
-    beta_sum_err = 0.0
-
-    src, dst, starts = ls.src, ls.dst, ls.seg_starts
-    cross, self_idx = ls.cross_idx, ls.self_idx
-    csrc, cdst = src[cross], dst[cross]
+    variants = [_Variant(problem, a, R, iterations, record_per_node,
+                         track_beta) for a in algos]
+    csrc = ls.src[ls.cross_idx]
+    Xs = ys = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(iterations):
             ph = _phase_for(phases, i)
             d = drawer.draw(rngs, ph)
-            X, yv = d.x_in, d.v_obs
-            y = np.einsum("rnl,l->rn", X, h) + yv
-
-            # the self-link LMS gradient; the adaptive rule's one-step
-            # prediction uses it too
-            g_node = lms_gradient(W, X, y)
-
+            X = d.x_in
+            y = np.einsum("rnl,l->rn", X, h) + d.v_obs
             if use_cross:
-                Xs = X[:, csrc, :] + d.nx[:, cross]
-                ys = y[:, csrc] + d.ny[:, cross]
-                Wd = W[:, cdst, :]
-                if est == "mcc":
-                    gc = mcc_gradient(Wd, Xs, ys, algo.mcc_kernel2.value(i))
-                elif est == "mtc" and ph.tls_ok:
-                    gc = mtc_gradient(Wd, Xs, ys, algo.zeta2.value(i),
-                                      ph.gamma)
-                elif est == "gdtls" and ph.tls_ok:
-                    gc = gdtls_gradient(Wd, Xs, ys, ph.gamma)
-                else:
-                    gc = lms_gradient(Wd, Xs, ys)
-                g = np.empty((R, E, L))
-                g[:, cross] = gc
-                g[:, self_idx] = g_node
-                phi = W + mu[None, :, None] * np.add.reduceat(
-                    alpha[None, :, None] * g, starts, axis=1
-                )
-            else:
-                phi = W + mu[None, :, None] * g_node
+                Xs = X[:, csrc, :] + d.nx[:, ls.cross_idx]
+                ys = y[:, csrc] + d.ny[:, ls.cross_idx]
+            for v in variants:
+                v.step(i, ph, d, X, y, Xs, ys)
 
-            if use_phi:
-                phis = phi[:, src, :] + d.nphi
-                if algo.adaptive_combination:
-                    gn = np.sqrt(np.einsum("rnl,rnl->rn", g_node, g_node))
-                    w_hat = W + (mu[None, :] / (gn + algo.epsilon))[..., None] * g_node
-                    dev = phis - w_hat[:, dst, :]
-                    dev2 = np.einsum("rel,rel->re", dev, dev)
-                    delta2 = (1.0 - algo.chi) * delta2 + algo.chi * dev2
-                    np.maximum(delta2, DELTA2_FLOOR, out=delta2)
-                    inv = 1.0 / delta2
-                    beta = inv / np.add.reduceat(inv, starts, axis=1)[:, dst]
-                    if track_beta:
-                        sums = np.add.reduceat(beta, starts, axis=1)
-                        err = float(np.abs(sums[active] - 1.0).max()) if active.any() else 0.0
-                        beta_sum_err = max(beta_sum_err, err)
-                else:
-                    beta = np.broadcast_to(cfix, (R, E))
-                W_new = np.add.reduceat(beta[..., None] * phis, starts, axis=1)
-            else:
-                W_new = phi
+    return [v.result() for v in variants]
 
-            node_norm2 = np.einsum("rnl,rnl->rn", W_new, W_new)
-            ok = np.isfinite(node_norm2).all(axis=1) & (
-                np.max(node_norm2, axis=1) <= DIVERGENCE_NORM**2
-            )
-            newly_bad = active & ~ok
-            if newly_bad.any():
-                diverged_at[newly_bad] = i
-                active &= ok
-            keep = active[:, None, None]
-            W = np.where(keep, W_new, W)
 
-            diff = W - h
-            sq = np.einsum("rnl,rnl->rn", diff, diff)
-            sq_net[:, i] = sq.sum(axis=1)
-            if record_per_node:
-                sq_node[:, i, :] = sq
-
-    return SimResult(sq_net, diverged_at, sq_node, beta_sum_err, W.copy())
+def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
+                  track_beta=False):
+    """Simulate a batch of realizations of one algorithm: a group of one."""
+    return simulate_group(problem, (algo,), run_indices, iterations,
+                          record_per_node, track_beta)[0]

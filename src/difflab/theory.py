@@ -84,10 +84,13 @@ class TheoryInputs:
         Q_lk = q_r[l, k] R_l + q_i[l, k] I - q_h[l, k] h h^T. mask holds the
         modeled links l -> k: the nonzeros of A or C, plus the self links.
         Self link: hess = 1, q_r = obs_var_l. Cross link, u = |h|^2 + gamma:
-        hess = (zeta2/(sigma_x2 + zeta2))^{3/2} / (zeta2 u) and, with
-        p = sigma_x2 / (zeta2^2 u^2) * (zeta2/(2 sigma_x2 + zeta2))^{3/2},
-        q_r = p u, q_i = p u sigma_x2, q_h = p sigma_x2. Computed on first
-        use, so the input arrays must not be modified afterwards.
+        hess = sqrt(zeta2/(sigma_x2 + zeta2)) / ((sigma_x2 + zeta2) u) and,
+        with p = sigma_x2 / (u^2 sqrt(zeta2) (2 sigma_x2 + zeta2)^{3/2}),
+        q_r = p u, q_i = p u sigma_x2, q_h = p sigma_x2. zeta2 is never
+        squared: zeta2^2 underflows below about 1e-154, where p is still
+        finite. A factor past the float range raises NumericalFailureError.
+        Computed on first use, so the input arrays must not be modified
+        afterwards.
         """
         eye = np.eye(self.n_nodes, dtype=bool)
         mask = (self.A != 0) | (self.C != 0) | eye
@@ -96,18 +99,26 @@ class TheoryInputs:
         z2 = self.zeta2[cross]
         sx2 = self.sigma_x2[cross]
         hess = eye.astype(float)
-        with np.errstate(over="ignore"):   # past the float range: p = 0
-            p = sx2 / (z2 * z2 * u * u) * (z2 / (2.0 * sx2 + z2)) ** 1.5
-            hess[cross] = (z2 / (sx2 + z2)) ** 1.5 / (z2 * u)
-        # at u = inf (gamma past the float range) take the u -> inf limit,
-        # where every cross-link factor is 0
-        pu = p * np.where(np.isinf(u), 0.0, u)
         q_r = np.diag(self.obs_var)
-        q_r[cross] = pu
         q_i = np.zeros_like(q_r)
-        q_i[cross] = pu * sx2
         q_h = np.zeros_like(q_r)
-        q_h[cross] = p * sx2
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # at u = inf (gamma past the float range) p = 0 and
+            # hess = 0: the u -> inf limit, where every cross-link factor
+            # is 0
+            p = sx2 / (u * u * np.sqrt(z2) * (2.0 * sx2 + z2) ** 1.5)
+            hess[cross] = np.sqrt(z2 / (sx2 + z2)) / ((sx2 + z2) * u)
+            pu = p * np.where(np.isinf(u), 0.0, u)
+            q_r[cross] = pu
+            q_i[cross] = pu * sx2
+            q_h[cross] = p * sx2
+        for name, f in (("hess", hess), ("q_r", q_r), ("q_i", q_i),
+                        ("q_h", q_h)):
+            if not np.isfinite(f).all():
+                l, k = np.argwhere(~np.isfinite(f))[0]
+                raise NumericalFailureError(
+                    f"link factor {name} of link {l}->{k} is past the float "
+                    "range")
         return mask, hess, q_r, q_i, q_h
 
 
@@ -174,11 +185,14 @@ def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
 def stepsize_upper_bound(inputs):
     """(N,) largest stable step size per node: 2 / rho(sum_l alpha_lk H_lk(h))."""
     rho = np.abs(np.linalg.eigvals(_summed_hessian(inputs))).max(axis=1)
-    if (rho == 0.0).any():
+    with np.errstate(divide="ignore", over="ignore"):
+        bounds = 2.0 / rho
+    if np.isinf(bounds).any():
+        k = int(np.argmax(np.isinf(bounds)))
         raise InvalidArgumentError(
-            f"summed Hessian at node {np.argmin(rho)} is zero; "
-            "step-size bound is infinite")
-    return 2.0 / rho
+            f"summed Hessian at node {k} is zero, or too small for a finite "
+            f"step-size bound (spectral radius {rho[k]:.3g})")
+    return bounds
 
 
 def _noise_driver_matrices(inputs):
@@ -222,7 +236,8 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
     for it in range(1, cap + 1):
         inc = P.T @ S @ P
         S = S + inc
-        delta = float(np.linalg.norm(inc))
+        with np.errstate(over="ignore"):   # past the float range: inf
+            delta = float(np.linalg.norm(inc))
         if delta < tol:
             msd = float(np.trace(S)) / inputs.n_nodes
             return MsdPrediction(

@@ -363,6 +363,42 @@ def test_cli_theory_takes_the_limit_at_huge_link_noise(tmp_path, capsys):
     assert msd_line("1e308") == msd_line("1e300") == "dmtc.msd_db=-8.040837"
 
 
+@pytest.mark.parametrize("zeta2", ["1.0e-300", "5e-324"])
+def test_cli_theory_is_finite_at_tiny_zeta2(tmp_path, zeta2):
+    # p grows as zeta2^-1/2: finite, although zeta2^2 underflows to 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["theory", "--config", COMPARE_CFG, "--out",
+                         str(tmp_path), "--set", f"algorithms.0.zeta2={zeta2}"])
+    assert code == cli.EXIT_OK
+    assert not [w for w in caught if w.category is RuntimeWarning]
+    key, _, value = (tmp_path / "theory_report.txt").read_text() \
+        .splitlines()[-1].partition("=")
+    assert key == "dmtc.msd_db"
+    assert math.isfinite(float(value))
+
+
+@pytest.mark.parametrize("sets, code, words", [
+    # |h|^2 past the float range
+    (["signal.h=[1.0e+300,1]"], cli.EXIT_PARSE, "signal.h"),
+    # the reciprocal of the summed Hessian's spectral radius overflows
+    (["signal.input_variance=1.1125369292536007e-308"], cli.EXIT_VALIDATION,
+     "step-size bound"),
+    # u = gamma underflows in u^2, so p = 0 * inf
+    (["noise.x.sigma_a2=1.0e+300", "signal.h=[0.0]"], cli.EXIT_NUMERICAL,
+     "link factor"),
+])
+def test_cli_theory_refuses_past_the_float_range(tmp_path, capsys, sets,
+                                                 code, words):
+    args = [arg for kv in sets for arg in ("--set", kv)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["theory", "--config", COMPARE_CFG, "--out",
+                         str(tmp_path), *args]) == code
+    assert not [w for w in caught if w.category is RuntimeWarning]
+    assert words in capsys.readouterr().err
+
+
 def test_cli_theory_computes_rho_once_per_algorithm(tmp_path, monkeypatch,
                                                      capsys):
     from difflab import theory

@@ -6,6 +6,10 @@ to its mixture phase at iteration 150, so the outlier draws are pinned
 too; two extra entries pin the GD-TLS estimator and the LMS fallback of
 the total-correntropy estimator on a noiseless input channel.
 
+A second test simulates each case's digested algorithms stream group by
+stream group with `simulate_group` and checks the same digests, so the
+one-pass path the harness takes is pinned as well.
+
 The digests hold the simulator to the randomness contract bit for bit:
 a refactor that reorders a floating-point expression fails here even
 when every tolerance-based test still passes. They were computed with
@@ -21,7 +25,8 @@ from dataclasses import replace
 import pytest
 
 from difflab.config import parse_config
-from difflab.simulate import simulate_runs
+from difflab.harness import _stream_groups
+from difflab.simulate import simulate_group, simulate_runs
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 RUNS = [0, 1, 2]
@@ -117,12 +122,25 @@ def _problem_and_algos(case):
     return cfg.build_problem(), algos
 
 
+def sha(res):
+    return hashlib.sha256(res.sq_net.tobytes()).hexdigest()
+
+
 def digest(case, algo_name):
     problem, algos = _problem_and_algos(case)
-    res = simulate_runs(problem, algos[algo_name], RUNS, ITERATIONS)
-    return hashlib.sha256(res.sq_net.tobytes()).hexdigest()
+    return sha(simulate_runs(problem, algos[algo_name], RUNS, ITERATIONS))
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS), ids="/".join)
 def test_golden_digest(key):
     assert digest(*key) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_golden_digest_grouped(case):
+    problem, algos = _problem_and_algos(case)
+    digested = [algos[name] for c, name in sorted(DIGESTS) if c == case]
+    for group in _stream_groups(digested):
+        results = simulate_group(problem, group, RUNS, ITERATIONS)
+        assert {a.name: sha(res) for a, res in zip(group, results)} == \
+            {a.name: DIGESTS[case, a.name] for a in group}

@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from difflab import harness
-from difflab.config import ExperimentConfig
+from difflab.config import ExperimentConfig, parse_config
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import (
     EmptyEnsembleError,
@@ -24,7 +25,7 @@ from difflab.harness import (
     worker_count,
 )
 from difflab.noise import GmmSpec, LinkNoiseSpec
-from difflab.simulate import simulate_runs
+from difflab.simulate import NetworkProblem, simulate_runs
 
 H = (0.4, 0.7, -0.3, 0.5)
 GAUSS = GmmSpec(0.0, 0.04, 0.0)
@@ -123,21 +124,44 @@ def test_one_pool_per_call_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(made, max_workers))
     monkeypatch.setenv("DIFFLAB_THREADS", "64")
+    # "a" and "b" share a stream group, "c" draws no cross-link data
     algos = (AlgorithmSpec("a", step_size=0.1),
+             AlgorithmSpec("c", share_data=False, step_size=0.1),
              AlgorithmSpec("b", step_size=0.05))
-    # 40 runs: ceil(40 / 16) = 3 ranges per algorithm, 6 tasks in all
+    # 40 runs: ceil(40 / 16) = 3 ranges per group, 6 tasks in all
     cfg = make_config(algorithms=algos, runs=40, iterations=20)
     pooled = monte_carlo_msd(cfg)
     assert [p.max_workers for p in made] == [6]
     assert made[0].closed
+    assert list(pooled) == ["a", "c", "b"]
     monkeypatch.delenv("DIFFLAB_THREADS")
     serial = monte_carlo_msd(cfg, n_jobs=1)
     assert len(made) == 1
-    for name in ("a", "b"):
+    for name in ("a", "b", "c"):
         assert (pooled[name].msd_linear == serial[name].msd_linear).all()
     # one algorithm, one range: no pool at all
     monte_carlo_msd(make_config(runs=6), n_jobs=8)
     assert len(made) == 1
+
+
+def test_one_stream_per_group_and_run(monkeypatch):
+    # fig1's seven algorithms fall in four stream groups, and each group
+    # opens a run's stream once
+    opened = []
+    run_rng = NetworkProblem.run_rng
+
+    def counting(self, run_index):
+        opened.append(run_index)
+        return run_rng(self, run_index)
+    monkeypatch.setattr(NetworkProblem, "run_rng", counting)
+    monkeypatch.delenv("DIFFLAB_THREADS", raising=False)
+    fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
+    cfg = parse_config(fig1, (("simulation.runs", 3),
+                              ("simulation.iterations", 5)))
+    curves = monte_carlo_msd(cfg, n_jobs=1)
+    assert list(curves) == [a.name for a in cfg.algorithms]
+    assert len(cfg.algorithms) == 7
+    assert sorted(opened) == sorted(list(range(3)) * 4)
 
 
 def test_all_diverged_in_pool_raises_and_shuts_pool_down(monkeypatch):

@@ -1,20 +1,28 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
+from difflab.config import parse_config
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import InvalidArgumentError
+from difflab.harness import _stream_groups
 from difflab.noise import GmmSpec, LinkNoiseSpec
 from difflab.simulate import (
     NetworkProblem,
     _Drawer,
     _PhaseParams,
     _phase_for,
+    simulate_group,
     simulate_runs,
 )
 from difflab.topology import generate_random_graph, metropolis_weights
 from reference import initial_states, node_iteration
 
 H = np.array([0.4, 0.7, -0.3, 0.5])
+PRESETS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                        "presets", "*.cfg")))
 
 
 def make_problem(n=5, seed=11, gmm_after=True):
@@ -159,3 +167,59 @@ def test_noiseless_self_contained_convergence():
                         [0], 600)
     assert res.sq_net[0, -1] < 1e-10
     assert res.diverged_at[0] == -1
+
+
+def assert_same_result(a, b):
+    """Bit-for-bit equality of every SimResult field."""
+    assert a.sq_net.tobytes() == b.sq_net.tobytes()
+    assert (a.diverged_at == b.diverged_at).all()
+    assert (a.sq_node is None) == (b.sq_node is None)
+    if a.sq_node is not None:
+        assert a.sq_node.tobytes() == b.sq_node.tobytes()
+    assert a.beta_sum_err == b.beta_sum_err
+    assert a.final_w.tobytes() == b.final_w.tobytes()
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=os.path.basename)
+def test_group_pass_equals_solo_runs(path):
+    # the mixture phase from iteration 60, past the kernel switches at 100
+    overrides = ()
+    if "after:" in open(path, encoding="utf-8").read():
+        overrides = (("noise.after.switch_iteration", 60),)
+    cfg = parse_config(path, overrides)
+    problem = cfg.build_problem()
+    for group in _stream_groups(cfg.algorithms):
+        for per_node, beta in ((False, False), (True, True)):
+            grouped = simulate_group(problem, group, [0, 2, 3], 120,
+                                     record_per_node=per_node,
+                                     track_beta=beta)
+            assert len(grouped) == len(group)
+            for algo, res in zip(group, grouped):
+                solo = simulate_runs(problem, algo, [0, 2, 3], 120,
+                                     record_per_node=per_node,
+                                     track_beta=beta)
+                assert_same_result(res, solo)
+
+
+def test_diverged_variant_freezes_nobody_else():
+    problem = make_problem()
+    bad = AlgorithmSpec("bad", step_size=50.0)
+    stable = VARIANTS[1]
+    assert (bad.share_data, bad.shares_phi) == (stable.share_data,
+                                                stable.shares_phi)
+    res_bad, res_stable = simulate_group(problem, (bad, stable), [0, 1], 60,
+                                         record_per_node=True)
+    assert (res_bad.diverged_at >= 0).all()
+    assert (res_stable.diverged_at == -1).all()
+    assert_same_result(res_stable, simulate_runs(problem, stable, [0, 1], 60,
+                                                 record_per_node=True))
+    assert_same_result(res_bad, simulate_runs(problem, bad, [0, 1], 60,
+                                              record_per_node=True))
+
+
+def test_group_refuses_mixed_streams():
+    problem = make_problem()
+    with pytest.raises(InvalidArgumentError, match="share_data"):
+        simulate_group(problem, (VARIANTS[0], VARIANTS[1]), [0], 5)
+    with pytest.raises(InvalidArgumentError):
+        simulate_group(problem, (), [0], 5)

@@ -10,6 +10,10 @@ A second test simulates each case's digested algorithms stream group by
 stream group with `simulate_group` and checks the same digests, so the
 one-pass path the harness takes is pinned as well.
 
+A third test pins the bytes of `difflab theory`'s `theory_report.txt`
+on compare.cfg at N=10 and N=100 and on fig1.cfg, so the closed form's
+inputs, gate and formatting are held bit for bit too.
+
 The digests hold the simulator to the randomness contract bit for bit:
 a refactor that reorders a floating-point expression fails here even
 when every tolerance-based test still passes. They were computed with
@@ -24,6 +28,7 @@ from dataclasses import replace
 
 import pytest
 
+from difflab import cli
 from difflab.config import parse_config
 from difflab.harness import _stream_groups
 from difflab.simulate import simulate_group, simulate_runs
@@ -110,6 +115,16 @@ DIGESTS = {
         "1a44158cd156e34dc13d7f4e3900b0108418377a2016cdf9d466480cd008d5eb",
 }
 
+# sha256 of theory_report.txt: (config, --set overrides) -> digest
+THEORY_DIGESTS = {
+    ("compare.cfg", ()):
+        "47158602bed2fcb713883fcec13ae68e0fbdd9dd346bf5972e20b2c43cbf876a",
+    ("compare.cfg", ("graph.nodes=100",)):
+        "216d15a2eb40a8b8a941aefb3dc9e39c84c1045dd2baff22525bbb9580a87215",
+    ("fig1.cfg", ()):
+        "b0143a1cb8b3a3fc197ffb8f7be08864c625dbb3e3b709078586275c8d7b4319",
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _problem_and_algos(case):
@@ -144,3 +159,16 @@ def test_golden_digest_grouped(case):
         results = simulate_group(problem, group, RUNS, ITERATIONS)
         assert {a.name: sha(res) for a, res in zip(group, results)} == \
             {a.name: DIGESTS[case, a.name] for a in group}
+
+
+@pytest.mark.parametrize("key", sorted(THEORY_DIGESTS),
+                         ids=lambda k: " ".join((k[0],) + k[1]))
+def test_golden_theory_report(key, tmp_path, capsys):
+    name, sets = key
+    argv = ["theory", "--config", os.path.join(PRESET_DIR, name),
+            "--out", str(tmp_path)]
+    for kv in sets:
+        argv += ["--set", kv]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = (tmp_path / "theory_report.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == THEORY_DIGESTS[key]

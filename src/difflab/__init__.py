@@ -36,7 +36,6 @@ from .theory import (
     stepsize_upper_bound,
 )
 from .topology import (
-    CombinationMatrix,
     NetworkGraph,
     generate_random_graph,
     load_edge_list,
@@ -47,7 +46,6 @@ from .topology import (
 
 __all__ = [
     "AlgorithmSpec",
-    "CombinationMatrix",
     "ConfigError",
     "DifflabError",
     "EmptyEnsembleError",

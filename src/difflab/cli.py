@@ -39,7 +39,7 @@ from .harness import (
     sweep,
     theory_vs_simulation,
 )
-from .topology import metropolis_weights, validate_combination_matrix
+from .topology import validate_combination_matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,31 +68,14 @@ def _fmt(value):
     return f"{value:.6f}"
 
 
-def _curve_csv(curves, order):
-    lines = ["iteration," + ",".join(f"{n}_msd_db" for n in order)]
-    length = len(curves[order[0]].msd_linear)
-    dbs = {n: curves[n].msd_db for n in order}
-    for i in range(length):
-        lines.append(
-            f"{i}," + ",".join(_fmt(float(dbs[n][i])) for n in order))
-    return "\n".join(lines) + "\n"
+def _db_csv(label, columns, rows):
+    """CSV text: a label column, then one dB column per name in columns.
 
-
-def _per_node_csv(curve):
-    n = curve.per_node.shape[1]
-    lines = ["iteration," + ",".join(f"node{k}_msd_db" for k in range(n))]
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(curve.per_node)
-    for i in range(db.shape[0]):
-        lines.append(f"{i}," + ",".join(_fmt(float(v)) for v in db[i]))
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_csv(rows, order):
-    lines = ["param_value," + ",".join(f"{n}_steady_db" for n in order)]
-    for row in rows:
-        lines.append(f"{row.value:g}," + ",".join(
-            _fmt(row.steady_db[n]) for n in order))
+    rows yields (label value, dB values); each dB value is _fmt-formatted.
+    """
+    lines = [",".join([label, *columns])]
+    lines += [f"{key}," + ",".join(_fmt(float(v)) for v in values)
+              for key, values in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -114,12 +97,18 @@ def _cmd_run(config, args):
     curves = monte_carlo_msd(config, n_jobs=args.jobs)
     order = [a.name for a in config.algorithms]
     out = os.path.join(args.out, "learning_curve.csv")
-    _write_atomic(out, _curve_csv(curves, order))
+    _write_atomic(out, _db_csv(
+        "iteration", [f"{n}_msd_db" for n in order],
+        enumerate(zip(*(curves[n].msd_db for n in order)))))
     written = [out]
     if config.per_node_msd:
         for name in order:
+            with np.errstate(divide="ignore"):
+                db = 10.0 * np.log10(curves[name].per_node)
             p = os.path.join(args.out, f"{name}_per_node.csv")
-            _write_atomic(p, _per_node_csv(curves[name]))
+            _write_atomic(p, _db_csv(
+                "iteration", [f"node{k}_msd_db" for k in range(db.shape[1])],
+                enumerate(db)))
             written.append(p)
     if args.gnuplot:
         gp = os.path.join(args.out, "learning_curve.gp")
@@ -145,7 +134,10 @@ def _cmd_sweep(config, args):
     rows = sweep(config, param, values, n_jobs=args.jobs)
     order = [a.name for a in config.algorithms]
     out = os.path.join(args.out, f"sweep_{param}.csv")
-    _write_atomic(out, _sweep_csv(rows, order))
+    _write_atomic(out, _db_csv(
+        "param_value", [f"{n}_steady_db" for n in order],
+        ((f"{row.value:g}", [row.steady_db[n] for n in order])
+         for row in rows)))
     if args.gnuplot:
         gp = os.path.join(args.out, f"sweep_{param}.gp")
         _write_atomic(gp, _gnuplot_script(
@@ -162,7 +154,7 @@ def _cmd_theory(config, args):
     lines = []
     for algo in config.algorithms:
         try:
-            cf = closed_form(config, algo, problem)
+            cf = closed_form(problem, algo)
         except UnmodeledCaseError as exc:
             lines.append(f"{algo.name}.skipped={exc.reason}")
             continue
@@ -200,13 +192,12 @@ def _cmd_compare(config, args):
 
 
 def _cmd_validate(config, args):
-    graph = config.build_graph()
-    weights = metropolis_weights(graph)
-    report = validate_combination_matrix(weights, graph)
+    problem = config.build_problem()
+    graph = problem.graph
+    report = validate_combination_matrix(problem.weights, graph)
     if not report.ok:
         raise InvalidArgumentError(
             f"metropolis weights violate {report.constraint} at {report.indices}")
-    config.build_problem()
     print(f"ok: {graph.n_nodes} nodes, {len(graph.edges)} edges, "
           f"{len(config.algorithms)} algorithms")
     return EXIT_OK

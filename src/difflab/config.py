@@ -93,12 +93,10 @@ class ExperimentConfig:
 
     def build_problem(self):
         graph = self.build_graph()
-        weights = metropolis_weights(graph)
         return NetworkProblem(
             graph=graph,
             h=np.asarray(self.h, dtype=float),
-            adaptation=weights,
-            combination=weights,
+            weights=metropolis_weights(graph),
             noise_phases=self.noise_phases(),
             input_variance=self.input_variance,
             obs_var=self.observation_variance,

@@ -30,7 +30,6 @@ from .simulate import simulate_group
 from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
                      stepsize_upper_bound)
 
-THREADS_ENV = "DIFFLAB_THREADS"
 # Runs per pool task. Throughput per run is flat from MIN_TASK_RUNS up;
 # the caps bound the (runs, iterations[, N]) records one task returns.
 MIN_TASK_RUNS = 16
@@ -56,13 +55,6 @@ class LearningCurve:
 
 
 def worker_count(n_jobs=None):
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"{THREADS_ENV}={env!r} is not an integer") from exc
     if n_jobs is not None:
         return max(1, int(n_jobs))
     return max(1, os.cpu_count() or 1)
@@ -253,17 +245,16 @@ def sweep(config, param, values, tail_fraction=0.1, n_jobs=None):
     return rows
 
 
-def theory_inputs(config, algo, problem=None):
-    """Closed-form analysis inputs matching a configured algorithm.
+def theory_inputs(problem, algo):
+    """Closed-form analysis inputs for one algorithm on a NetworkProblem.
 
-    The analysis is evaluated at the post-switch kernel value and the
-    phase-one (Gaussian base) noise variances; adaptation/combination
-    are the problem's fixed matrices (identity when sharing is off).
+    The analysis is evaluated at the post-switch kernel value, the
+    problem's input variance and its phase-one (Gaussian base) noise
+    variances; A and C are the problem's weights (identity when the
+    algorithm shares no data or no weights, respectively).
     """
-    if problem is None:
-        problem = config.build_problem()
     n, L = problem.n_nodes, problem.dim
-    spec = config.noise
+    spec = problem.noise_phases[0][1]
     adj = problem.graph.adjacency_matrix()
     cross = adj.astype(float)
     sx2 = spec.x.sigma_a2 * cross
@@ -274,11 +265,12 @@ def theory_inputs(config, algo, problem=None):
     if spec.x.sigma_a2 > 0:
         gamma[adj] = gamma_lk(obs[np.nonzero(adj)[0]], sy2[adj], sx2[adj])
     z2f = algo.zeta2.final if algo.zeta2 is not None else 1.0
-    A = problem.adaptation.entries if algo.share_data else np.eye(n)
-    C = problem.combination.entries if algo.share_weights else np.eye(n)
+    A = problem.weights if algo.share_data else np.eye(n)
+    C = problem.weights if algo.share_weights else np.eye(n)
     return TheoryInputs(
         h=problem.h,
-        R=np.broadcast_to(config.input_variance * np.eye(L), (n, L, L)).copy(),
+        R=np.broadcast_to(problem.input_variance * np.eye(L),
+                          (n, L, L)).copy(),
         A=A,
         C=C,
         mu=algo.step_sizes(n),
@@ -300,8 +292,9 @@ class ClosedForm:
     prediction: MsdPrediction = None  # None when rho >= 1
 
 
-def closed_form(config, algo, problem=None, compare=False):
-    """Per-node step-size bounds, rho and steady-state MSD of one algorithm.
+def closed_form(problem, algo, compare=False):
+    """Per-node step-size bounds, rho and steady-state MSD of one algorithm
+    on a NetworkProblem.
 
     The one gate for what the closed form models: any other case raises
     UnmodeledCaseError with a one-token reason. compare=True, for a
@@ -309,7 +302,7 @@ def closed_form(config, algo, problem=None, compare=False):
     noise phase and step sizes at or above their bounds, and raises
     InstabilityError where it would return no prediction.
     """
-    noise, data = config.noise, algo.share_data
+    noise, data = problem.noise_phases[0][1], algo.share_data
     for reason, unmodeled, detail in (
             ("adaptive_combination", algo.adaptive_combination,
              "fixed combination matrices only"),
@@ -321,11 +314,11 @@ def closed_form(config, algo, problem=None, compare=False):
              "total-correntropy (mtc) cross links only"),
             ("noiseless_input_channel", data and noise.x.sigma_a2 == 0.0,
              "the simulator runs LMS on these cross links"),
-            ("noise_after", compare and config.noise_after is not None,
+            ("noise_after", compare and len(problem.noise_phases) > 1,
              "noise phase one only; the simulation ends in the last phase")):
         if unmodeled:
             raise UnmodeledCaseError(reason, detail)
-    ti = theory_inputs(config, algo, problem)
+    ti = theory_inputs(problem, algo)
     bounds = stepsize_upper_bound(ti)
     if compare and (ti.mu >= bounds).any():
         k = int(np.argmax(ti.mu >= bounds))
@@ -360,7 +353,8 @@ def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
                  if algo_name in (None, a.name)), None)
     if algo is None:
         raise InvalidArgumentError(f"no algorithm named {algo_name!r}")
-    predicted = closed_form(config, algo, compare=True).prediction
+    predicted = closed_form(config.build_problem(), algo,
+                            compare=True).prediction
     sub = replace(config, algorithms=(algo,))
     curve = monte_carlo_msd(sub, n_jobs=n_jobs)[algo.name]
     simulated_db = steady_state_estimate(curve, tail_fraction)

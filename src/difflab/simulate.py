@@ -40,7 +40,7 @@ from .engine import (
 )
 from .errors import InvalidArgumentError
 from .noise import gamma_lk, mixture_draws
-from .topology import CombinationMatrix, NetworkGraph
+from .topology import NetworkGraph
 
 DIVERGENCE_NORM = 1e6
 
@@ -80,8 +80,11 @@ class LinkStructure:
 
 @dataclass(frozen=True)
 class NetworkProblem:
-    """Everything static about one experiment scenario.
+    """Everything static about one experiment scenario; the simulator and
+    the closed form (`harness.theory_inputs`) both read it.
 
+    weights is the (N, N) matrix used for both adaptation and combination:
+    weights[l, k] is the weight node k applies to data from node l.
     noise_phases is a tuple of (start_iteration, LinkNoiseSpec), sorted;
     a phase applies from its start iteration inclusive. obs_var holds the
     observation noise variance, one for all nodes or one per node; it
@@ -90,8 +93,7 @@ class NetworkProblem:
 
     graph: NetworkGraph
     h: np.ndarray
-    adaptation: CombinationMatrix
-    combination: CombinationMatrix
+    weights: np.ndarray
     noise_phases: tuple
     input_variance: float = 1.0
     obs_var: np.ndarray = 0.0
@@ -99,20 +101,24 @@ class NetworkProblem:
     links: LinkStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, ndmin in (("h", 0), ("obs_var", 1)):
+        for name, ndmin in (("h", 0), ("weights", 2), ("obs_var", 1)):
             v = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         if not self.noise_phases or self.noise_phases[0][0] != 0:
             raise InvalidArgumentError("first noise phase must start at iteration 0")
+        n = self.graph.n_nodes
+        if self.weights.shape != (n, n):
+            raise InvalidArgumentError(
+                f"weights are {self.weights.shape}, graph has {n} nodes")
         if self.input_variance <= 0:
             raise InvalidArgumentError("input variance must be positive")
         if (self.obs_var < 0).any():
             raise InvalidArgumentError("observation variances must be >= 0")
-        if self.obs_var.size not in (1, self.graph.n_nodes):
+        if self.obs_var.size not in (1, n):
             raise InvalidArgumentError(
                 f"{self.obs_var.size} observation variances for "
-                f"{self.graph.n_nodes} nodes; give one or one per node")
+                f"{n} nodes; give one or one per node")
         object.__setattr__(self, "links", LinkStructure.from_graph(self.graph))
 
     @property
@@ -253,11 +259,11 @@ class _Variant:
         self.links, self.h = ls, problem.h
         self.cdst = ls.dst[ls.cross_idx]
         self.mu = algo.step_sizes(n)
-        self.alpha = (problem.adaptation.entries[ls.src, ls.dst]
+        self.alpha = (problem.weights[ls.src, ls.dst]
                       if algo.share_data else None)
         self.cfix = None
         if algo.shares_phi and not algo.adaptive_combination:
-            self.cfix = problem.combination.entries[ls.src, ls.dst]
+            self.cfix = problem.weights[ls.src, ls.dst]
         self.track_beta = track_beta
         self.W = np.zeros((R, n, L))
         self.delta2 = np.ones((R, E))

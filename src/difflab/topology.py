@@ -1,9 +1,11 @@
-"""Network graphs and combination weight matrices.
+"""Network graphs and Metropolis weight matrices.
 
 A network is an undirected connected graph over estimation nodes. Each
-node's neighborhood includes itself; adaptation (A) and combination (C)
-matrices put nonzero weight only on neighborhood links, and every node's
-received weights form a convex combination (columns sum to one).
+node's neighborhood includes itself. One (N, N) weight matrix serves for
+both adaptation (A) and combination (C): entry [l, k] is the weight node
+k applies to data received from node l, nonzero only on neighborhood
+links, and every node's received weights form a convex combination
+(columns sum to one).
 """
 
 from __future__ import annotations
@@ -44,12 +46,8 @@ class NetworkGraph:
         if not self.is_connected():
             raise InvalidArgumentError("graph is not connected")
 
-    def neighbors(self, k):
-        """Neighbors of node k, excluding k itself."""
-        return sorted(self._adj[k])
-
     def neighborhood(self, k):
-        """Closed neighborhood N_k = neighbors(k) plus k, sorted."""
+        """Closed neighborhood N_k: the neighbors of k plus k, sorted."""
         return sorted(self._adj[k] | {k})
 
     def degree(self, k):
@@ -72,29 +70,6 @@ class NetworkGraph:
         for u, v in self.edges:
             m[u, v] = m[v, u] = True
         return m
-
-
-@dataclass(frozen=True)
-class CombinationMatrix:
-    """N x N nonnegative weights constrained to graph sparsity.
-
-    entries[l, k] is the weight node k applies to data received from
-    node l; the same type holds adaptation (A) and combination (C) weights.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise InvalidArgumentError("combination matrix must be square")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n_nodes(self):
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -145,16 +120,16 @@ def metropolis_weights(graph):
     # the residue can come out a hair below zero when the off-diagonal
     # weights sum to exactly one in real arithmetic
     w[np.diag_indices(n)] = np.maximum(1.0 - w.sum(axis=0), 0.0)
-    return CombinationMatrix(w)
+    return w
 
 
 def validate_combination_matrix(matrix, graph):
     """Check sparsity, nonnegativity, range and per-node convexity.
 
-    Returns a ValidationReport; the first violated constraint is named
-    with its offending indices.
+    matrix is an (N, N) array. Returns a ValidationReport; the first
+    violated constraint is named with its offending indices.
     """
-    e = matrix.entries
+    e = np.asarray(matrix, dtype=float)
     n = graph.n_nodes
     if e.shape != (n, n):
         raise InvalidArgumentError(

@@ -153,7 +153,7 @@ def adaptive_beta_update(prev_delta2, received_phis, w_hat, chi):
 
 def initial_states(problem):
     """Zero-weight NodeStates with unit smoothed deviations and Metropolis betas."""
-    beta0 = metropolis_weights(problem.graph).entries
+    beta0 = metropolis_weights(problem.graph)
     states = []
     for k in range(problem.n_nodes):
         nbrs = problem.graph.neighborhood(k)
@@ -220,7 +220,7 @@ def node_iteration(problem, algo, states, iteration, draws):
                 gamma = (obs_var[l] + spec.y.sigma_a2) / sx2 if sx2 > 0 else 0.0
                 sample = SharedSample(x_lk, y_lk, l, self_link=(l == k))
                 received.append(ReceivedSample(
-                    sample, float(problem.adaptation.entries[l, k]),
+                    sample, float(problem.weights[l, k]),
                     gamma=gamma, zeta2=z2, kernel2=k2))
         else:
             received = [ReceivedSample(self_samples[k], 1.0)]
@@ -244,7 +244,7 @@ def node_iteration(problem, algo, states, iteration, draws):
             new_states[k].delta2 = delta2
             new_states[k].beta_row = beta_row
         else:
-            beta_row = {l: float(problem.combination.entries[l, k])
+            beta_row = {l: float(problem.weights[l, k])
                         for l, _ in received_phis}
         new_states[k].w = combine_step(
             [(phi, beta_row[l]) for l, phi in received_phis])

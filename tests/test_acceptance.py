@@ -153,7 +153,7 @@ def small_instance(n, L, mu=0.02, sigma_phi2=0.02):
     g = NetworkGraph(n, tuple((i, i + 1) for i in range(n - 1))) \
         if n > 1 else None
     if g is not None:
-        C = metropolis_weights(g).entries
+        C = metropolis_weights(g)
     else:
         C = np.eye(1)
     h = np.linspace(0.4, -0.3, L)
@@ -199,16 +199,15 @@ def test_criterion_4_stability_bound_brackets_divergence():
     t0 = time.perf_counter()
     cfg = gaussian_n10_config(100, 2000)
     algo = cfg.algorithms[0]
-    ti = theory_inputs(cfg, algo)
+    problem = cfg.build_problem()
+    ti = theory_inputs(problem, algo)
     bounds = stepsize_upper_bound(ti)
 
     outcomes = {}
     for factor in (0.5, 5.0):
         scaled = replace(algo, step_size=tuple(factor * bounds))
-        sub = replace(cfg, algorithms=(scaled,))
-        ti_f = theory_inputs(sub, scaled)
+        ti_f = theory_inputs(problem, scaled)
         _, rho = mean_recursion_matrix(ti_f)
-        problem = sub.build_problem()
         res = simulate_runs(problem, scaled, list(range(100)), 2000)
         outcomes[factor] = (rho, int((res.diverged_at >= 0).sum()))
     rho_lo, div_lo = outcomes[0.5]
@@ -312,13 +311,11 @@ def test_criterion_8_reductions():
     iters = 400
     runs = [0, 1, 2]
 
-    # identity adaptation and combination matrices: the diffusion update
-    # must reduce exactly to independent per-node LMS filters
+    # identity weights for adaptation and combination: the diffusion
+    # update must reduce exactly to independent per-node LMS filters
     from difflab.simulate import _Drawer, _PhaseParams, _phase_for
-    from difflab.topology import CombinationMatrix
     n = problem.n_nodes
-    identity = CombinationMatrix(np.eye(n))
-    id_problem = replace(problem, adaptation=identity, combination=identity)
+    id_problem = replace(problem, weights=np.eye(n))
     res = simulate_runs(id_problem, dlms, runs, iters)
 
     # reference: each node filtered on its own, coupled to nothing,

@@ -480,15 +480,6 @@ def test_cli_non_numeric_override_is_parse_error(small_cfg_path, capsys):
     assert "graph.nodes" in capsys.readouterr().err
 
 
-def test_cli_non_integer_threads_is_validation_error(small_cfg_path, tmp_path,
-                                                      monkeypatch):
-    monkeypatch.setenv("DIFFLAB_THREADS", "abc")
-    code = cli.main(["run", "--config", small_cfg_path,
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_VALIDATION
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_bad_edge_list_header_is_validation_error(small_cfg_path,
                                                       tmp_path):
     edges = tmp_path / "bad.edges"

@@ -58,14 +58,6 @@ def test_config_validation():
         make_config(algorithms=(AlgorithmSpec("a"), AlgorithmSpec("a")))
 
 
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("DIFFLAB_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(8) == 3
-    monkeypatch.delenv("DIFFLAB_THREADS")
-    assert worker_count(2) == 2
-
-
 def test_curves_independent_of_worker_count():
     # 37 runs: no range size divides them, so every split is uneven; the
     # step size of "wild" makes some of its runs diverge
@@ -99,6 +91,7 @@ def test_curves_independent_of_worker_count():
     assert (cases[3]["wild"].per_node == ref_node).all()
     assert cases[0]["wild"].runs_used == good.size
     assert cases[0]["ac"].beta_sum_err > 0.0
+    assert worker_count(2) == 2
 
 
 class InProcessPool:
@@ -123,18 +116,16 @@ def test_one_pool_per_call_capped_at_task_count(monkeypatch):
     made = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(made, max_workers))
-    monkeypatch.setenv("DIFFLAB_THREADS", "64")
     # "a" and "b" share a stream group, "c" draws no cross-link data
     algos = (AlgorithmSpec("a", step_size=0.1),
              AlgorithmSpec("c", share_data=False, step_size=0.1),
              AlgorithmSpec("b", step_size=0.05))
     # 40 runs: ceil(40 / 16) = 3 ranges per group, 6 tasks in all
     cfg = make_config(algorithms=algos, runs=40, iterations=20)
-    pooled = monte_carlo_msd(cfg)
+    pooled = monte_carlo_msd(cfg, n_jobs=64)
     assert [p.max_workers for p in made] == [6]
     assert made[0].closed
     assert list(pooled) == ["a", "c", "b"]
-    monkeypatch.delenv("DIFFLAB_THREADS")
     serial = monte_carlo_msd(cfg, n_jobs=1)
     assert len(made) == 1
     for name in ("a", "b", "c"):
@@ -154,7 +145,6 @@ def test_one_stream_per_group_and_run(monkeypatch):
         opened.append(run_index)
         return run_rng(self, run_index)
     monkeypatch.setattr(NetworkProblem, "run_rng", counting)
-    monkeypatch.delenv("DIFFLAB_THREADS", raising=False)
     fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
     cfg = parse_config(fig1, (("simulation.runs", 3),
                               ("simulation.iterations", 5)))
@@ -173,7 +163,6 @@ def test_all_diverged_in_pool_raises_and_shuts_pool_down(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.delenv("DIFFLAB_THREADS", raising=False)
     algos = (AlgorithmSpec("hopeless", step_size=50.0),
              AlgorithmSpec("dlms", step_size=0.1))
     cfg = make_config(algorithms=algos, runs=20, iterations=60)
@@ -286,16 +275,24 @@ def test_sweep_rows_sorted_and_complete():
 def test_theory_inputs_shapes_and_gammas():
     mtc = AlgorithmSpec("mtc", estimator="mtc", step_size=0.045,
                         zeta2=KernelSchedule(1e4, 0.2, 8))
-    cfg = make_config(algorithms=(mtc,))
-    ti = theory_inputs(cfg, mtc)
+    # a louder second phase and a non-unit input variance: the inputs
+    # take phase one's variances and the problem's input variance
+    loud = GmmSpec(0.0, 0.5, 0.0)
+    cfg = make_config(algorithms=(mtc,), input_variance=1.5, switch=20,
+                      noise_after=LinkNoiseSpec(x=loud, y=loud, phi=loud))
+    problem = cfg.build_problem()
+    ti = theory_inputs(problem, mtc)
     n = cfg.n_nodes
     assert ti.A.shape == (n, n)
-    adj = cfg.build_graph().adjacency_matrix()
+    assert (ti.A == problem.weights).all() and (ti.C == problem.weights).all()
+    adj = problem.graph.adjacency_matrix()
     expect_gamma = np.where(adj, (0.1 + 0.04) / 0.04, 0.0)
     assert np.allclose(ti.gamma, expect_gamma)
+    assert (ti.sigma_x2 == np.where(adj, 0.04, 0.0)).all()
+    assert (ti.R == 1.5 * np.eye(len(H))).all()
     assert (ti.zeta2 == 0.2).all()
     nds = AlgorithmSpec("nds", share_data=False, share_weights=False)
-    ti2 = theory_inputs(cfg, nds)
+    ti2 = theory_inputs(problem, nds)
     assert np.allclose(ti2.A, np.eye(n))
     assert np.allclose(ti2.C, np.eye(n))
 
@@ -329,15 +326,15 @@ def test_theory_vs_simulation_rejections():
 def test_closed_form_unstable_carries_rho():
     dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=5.0,
                          zeta2=KernelSchedule(1e4, 0.2, 100))
-    cfg = make_config(algorithms=(dmtc,))
-    cf = harness.closed_form(cfg, dmtc)
+    problem = make_config(algorithms=(dmtc,)).build_problem()
+    cf = harness.closed_form(problem, dmtc)
     assert cf.prediction is None
     assert cf.rho >= 1.0
     assert (cf.mu_bounds < 5.0).any()
     with pytest.raises(UnmodeledCaseError, match="step_size"):
-        harness.closed_form(cfg, dmtc, compare=True)
+        harness.closed_form(problem, dmtc, compare=True)
     stable = replace(dmtc, step_size=0.045)
-    cf = harness.closed_form(cfg, stable)
+    cf = harness.closed_form(problem, stable)
     assert cf.rho == cf.prediction.rho < 1.0
 
 

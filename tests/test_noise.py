@@ -55,7 +55,7 @@ def test_drawer_self_links_noiseless():
     w = metropolis_weights(graph)
     mixed = GmmSpec(0.3, 0.04, 10.0)
     spec = LinkNoiseSpec(x=mixed, y=mixed, phi=mixed)
-    problem = NetworkProblem(graph, np.ones(3), w, w, ((0, spec),), obs_var=0.1)
+    problem = NetworkProblem(graph, np.ones(3), w, ((0, spec),), obs_var=0.1)
     ls = problem.links
     phase = _PhaseParams.build(0, spec, ls, problem.obs_std() ** 2)
     rngs = [problem.run_rng(r) for r in range(4)]

@@ -35,7 +35,7 @@ def make_problem(n=5, seed=11, gmm_after=True):
         mixed = GmmSpec(0.05, 0.04, 10.0)
         phases.append((12, LinkNoiseSpec(x=mixed, y=mixed, phi=mixed)))
     return NetworkProblem(
-        graph=graph, h=H, adaptation=weights, combination=weights,
+        graph=graph, h=H, weights=weights,
         noise_phases=tuple(phases), input_variance=1.0, obs_var=0.1,
         seed=seed,
     )
@@ -140,10 +140,12 @@ def test_problem_validation():
     w = metropolis_weights(graph)
     spec = LinkNoiseSpec()
     with pytest.raises(InvalidArgumentError):
-        NetworkProblem(graph, H, w, w, ((5, spec),))
+        NetworkProblem(graph, H, w, ((5, spec),))
     with pytest.raises(InvalidArgumentError):
-        NetworkProblem(graph, H, w, w, ((0, spec),), input_variance=0.0)
-    problem = NetworkProblem(graph, H, w, w, ((0, spec),))
+        NetworkProblem(graph, H, w, ((0, spec),), input_variance=0.0)
+    with pytest.raises(InvalidArgumentError):
+        NetworkProblem(graph, H, np.eye(3), ((0, spec),))
+    problem = NetworkProblem(graph, H, w, ((0, spec),))
     with pytest.raises(InvalidArgumentError):
         simulate_runs(problem, VARIANTS[0], [0], 0)
 
@@ -151,7 +153,7 @@ def test_problem_validation():
 def test_per_node_observation_variance():
     graph = generate_random_graph(3, 2, seed=5)
     w = metropolis_weights(graph)
-    problem = NetworkProblem(graph, H, w, w, ((0, LinkNoiseSpec()),),
+    problem = NetworkProblem(graph, H, w, ((0, LinkNoiseSpec()),),
                              obs_var=(0.1, 0.4, 0.9))
     assert np.allclose(problem.obs_std(), [np.sqrt(0.1), np.sqrt(0.4),
                                            np.sqrt(0.9)])
@@ -162,7 +164,7 @@ def test_noiseless_self_contained_convergence():
     graph = generate_random_graph(4, 3, seed=2)
     w = metropolis_weights(graph)
     spec = LinkNoiseSpec()
-    problem = NetworkProblem(graph, H, w, w, ((0, spec),), seed=1)
+    problem = NetworkProblem(graph, H, w, ((0, spec),), seed=1)
     res = simulate_runs(problem, AlgorithmSpec("lms", step_size=0.1),
                         [0], 600)
     assert res.sq_net[0, -1] < 1e-10

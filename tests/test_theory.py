@@ -187,7 +187,7 @@ def test_stability_bound_brackets_divergence():
 
 def test_stepsize_bounds_match_per_node_eigenvalues():
     cfg = parse_config(COMPARE_CFG)
-    ti = theory_inputs(cfg, cfg.algorithms[0])
+    ti = theory_inputs(cfg.build_problem(), cfg.algorithms[0])
     S = _summed_hessian(ti)
     per_node = [2.0 / np.abs(np.linalg.eigvals(S[k])).max()
                 for k in range(ti.n_nodes)]
@@ -211,7 +211,7 @@ def test_unstable_msd_raises():
 
 def network_inputs(n=4, L=2, mu=0.02, sigma_phi2=0.0, seed=3):
     g = NetworkGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-    C = metropolis_weights(g).entries
+    C = metropolis_weights(g)
     A = C.copy()
     h = np.array([0.4, 0.7, -0.3, 0.5])[:L]
     ti = make_inputs(h, A, C, mu, 0.1, sigma_x2=0.04, sigma_y2=0.04,
@@ -229,7 +229,7 @@ def test_fixed_point_matches_bruteforce():
 
 def test_bruteforce_size_guard():
     g = NetworkGraph(5, tuple((i, i + 1) for i in range(4)))
-    C = metropolis_weights(g).entries
+    C = metropolis_weights(g)
     ti = make_inputs([0.4, 0.7], C, C, 0.02, 0.1, sigma_x2=0.04,
                      gamma=3.5)
     with pytest.raises(InvalidArgumentError):
@@ -266,7 +266,7 @@ def test_spectral_radius_known_values():
 @pytest.mark.parametrize("n_nodes", [10, 50])
 def test_doubling_matches_fixed_point_on_compare(n_nodes):
     cfg = parse_config(COMPARE_CFG, [("graph.nodes", n_nodes)])
-    ti = theory_inputs(cfg, cfg.algorithms[0])
+    ti = theory_inputs(cfg.build_problem(), cfg.algorithms[0])
     fast = steady_state_msd(ti)
     reference, steps = fixed_point_msd(ti)
     assert fast.msd_linear == pytest.approx(reference, rel=1e-9)
@@ -282,7 +282,7 @@ def random_network_inputs(rng, share_data):
     # without data sharing A = I, so the modeled links come from C alone
     n, L = 12, 3
     g = generate_random_graph(n, 4.0, seed=5)
-    C = metropolis_weights(g).entries
+    C = metropolis_weights(g)
     A = C.copy() if share_data else np.eye(n)
     G = rng.standard_normal((n, L, L))
     return TheoryInputs(

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from difflab.errors import InvalidArgumentError
 from difflab.topology import (
-    CombinationMatrix,
     NetworkGraph,
     generate_random_graph,
     load_edge_list,
@@ -50,22 +49,23 @@ def test_mean_degree_matches_target():
 
 def test_neighborhood_includes_self():
     g = generate_random_graph(10, 3, seed=1)
+    adj = g.adjacency_matrix()
     for k in range(10):
         nb = g.neighborhood(k)
         assert k in nb
-        assert set(nb) - {k} == set(g.neighbors(k))
+        assert set(nb) - {k} == set(np.flatnonzero(adj[k]).tolist())
 
 
 def test_metropolis_two_node():
     g = NetworkGraph(2, ((0, 1),))
-    w = metropolis_weights(g).entries
+    w = metropolis_weights(g)
     # both degrees are 1, so the cross weight is 1/max(1,1) = 1
     assert np.allclose(w, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_metropolis_path_graph():
     g = NetworkGraph(3, ((0, 1), (1, 2)))
-    w = metropolis_weights(g).entries
+    w = metropolis_weights(g)
     assert w[0, 1] == w[1, 0] == 0.5
     assert w[1, 2] == w[2, 1] == 0.5
     assert w[0, 0] == 0.5 and w[1, 1] == 0.0 and w[2, 2] == 0.5
@@ -73,7 +73,7 @@ def test_metropolis_path_graph():
 
 def test_metropolis_star_graph():
     g = NetworkGraph(3, ((0, 1), (0, 2)))  # node 0 is the hub
-    w = metropolis_weights(g).entries
+    w = metropolis_weights(g)
     assert w[0, 1] == w[0, 2] == 0.5
     assert w[0, 0] == 0.0
     assert w[1, 1] == w[2, 2] == 0.5
@@ -83,7 +83,7 @@ def test_metropolis_star_graph():
 @given(st.integers(0, 10_000), st.integers(4, 24))
 def test_metropolis_symmetric_doubly_stochastic(seed, n):
     g = generate_random_graph(n, 3, seed=seed)
-    w = metropolis_weights(g).entries
+    w = metropolis_weights(g)
     assert np.abs(w - w.T).max() < 1e-15
     assert np.abs(w.sum(axis=0) - 1).max() < 1e-12
     assert np.abs(w.sum(axis=1) - 1).max() < 1e-12
@@ -92,7 +92,7 @@ def test_metropolis_symmetric_doubly_stochastic(seed, n):
 
 def test_identity_matrix_validates():
     g = generate_random_graph(8, 3, seed=4)
-    assert validate_combination_matrix(CombinationMatrix(np.eye(8)), g).ok
+    assert validate_combination_matrix(np.eye(8), g).ok
 
 
 def test_sparsity_violation_reported():
@@ -100,7 +100,7 @@ def test_sparsity_violation_reported():
     bad = np.eye(3)
     bad[0, 2] = 0.1
     bad[2, 2] = 0.9
-    report = validate_combination_matrix(CombinationMatrix(bad), g)
+    report = validate_combination_matrix(bad, g)
     assert not report.ok
     assert report.constraint == "sparsity"
     assert report.indices == (0, 2)
@@ -109,7 +109,7 @@ def test_sparsity_violation_reported():
 def test_column_sum_violation_reported():
     g = NetworkGraph(2, ((0, 1),))
     bad = np.full((2, 2), 0.4)
-    report = validate_combination_matrix(CombinationMatrix(bad), g)
+    report = validate_combination_matrix(bad, g)
     assert not report.ok
     assert report.constraint == "column-sum"
 
@@ -117,7 +117,7 @@ def test_column_sum_violation_reported():
 def test_dimension_mismatch():
     g = NetworkGraph(2, ((0, 1),))
     with pytest.raises(InvalidArgumentError):
-        validate_combination_matrix(CombinationMatrix(np.eye(3)), g)
+        validate_combination_matrix(np.eye(3), g)
 
 
 def test_disconnected_graph_rejected():

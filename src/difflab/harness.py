@@ -2,14 +2,13 @@
 
 A scenario is fixed by an ExperimentConfig (defined in `config.py`);
 each algorithm is simulated over `monte_carlo_runs` independent
-realizations. Algorithms with equal `(share_data, shares_phi)` form a
-stream group and are simulated in one pass on one draw per run and
-iteration (`simulate.simulate_group`); a pool task is one group over one
-run range. Diverged realizations are excluded from the averages and
-counted, never silently dropped. Each algorithm's good runs are added to
-its ensemble sums one at a time in run-index order, so the curves are
-bit-identical however the runs are split into tasks and grouped, and
-whatever the worker count.
+realizations. Every algorithm of a config is simulated in one pass on
+one draw per run and iteration (`simulate.simulate_group`); a pool task
+is one run range carrying every algorithm. Diverged realizations are
+excluded from the averages and counted, never silently dropped. Each
+algorithm's good runs are added to its ensemble sums one at a time in
+run-index order, so the curves are bit-identical however the runs are
+split into tasks, and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -31,10 +28,12 @@ from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
                      stepsize_upper_bound)
 
 # Runs per pool task. Throughput per run is flat from MIN_TASK_RUNS up;
-# the caps bound the (runs, iterations[, N]) records one task returns.
+# the caps bound the records one task returns: MAX_TASK_RUNS counts
+# runs, MAX_TASK_RUNS_PER_NODE counts runs x algorithms, since every
+# algorithm of a task returns its own (runs, iterations, N) record.
 MIN_TASK_RUNS = 16
 MAX_TASK_RUNS = 64
-MAX_TASK_RUNS_PER_NODE = 16
+MAX_TASK_RUNS_PER_NODE = 64
 
 
 @dataclass
@@ -67,26 +66,14 @@ def _simulate_task(args):
 
 
 def _simulated(tasks, workers):
-    """simulate_group results of tasks in task order, one at a time.
-
-    With more than one worker the tasks go to one process pool; closing
-    the generator early cancels the tasks that have not started.
-    """
+    """simulate_group results of tasks in task order, one at a time;
+    with more than one worker the tasks go to one process pool."""
     workers = min(workers, len(tasks))
     if workers < 2:
         yield from map(_simulate_task, tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_simulate_task, tasks)
-
-
-def _stream_groups(algorithms):
-    """Algorithms grouped by (share_data, shares_phi), in order of first
-    appearance; the algorithms of a group draw the same numbers."""
-    groups = {}
-    for algo in algorithms:
-        groups.setdefault((algo.share_data, algo.shares_phi), []).append(algo)
-    return [tuple(g) for g in groups.values()]
 
 
 class _Sums:
@@ -130,40 +117,29 @@ def monte_carlo_msd(config, n_jobs=None, track_beta=False):
 
     The runs are split into contiguous run-index ranges of near-equal
     size: one per worker but at most one per MIN_TASK_RUNS runs, and
-    more where a range would exceed the task cap. A task is one stream
-    group (see _stream_groups) over one range, simulated in one pass; the
-    tasks of all groups share one process pool.
+    more where a range would exceed the task cap. A task is every
+    algorithm over one range, simulated in one pass; the tasks share one
+    process pool.
     """
     problem = config.build_problem()
     runs, iterations = config.monte_carlo_runs, config.iterations
+    algos = config.algorithms
     per_node = config.per_node_msd
     workers = worker_count(n_jobs)
-    cap = MAX_TASK_RUNS_PER_NODE if per_node else MAX_TASK_RUNS
+    cap = (max(1, MAX_TASK_RUNS_PER_NODE // len(algos)) if per_node
+           else MAX_TASK_RUNS)
     n_ranges = max(math.ceil(runs / cap),
                    min(workers, math.ceil(runs / MIN_TASK_RUNS)))
     bounds = [runs * i // n_ranges for i in range(n_ranges + 1)]
-    groups = _stream_groups(config.algorithms)
-    tasks = [(problem, group, list(range(lo, hi)), iterations, per_node,
+    tasks = [(problem, algos, list(range(lo, hi)), iterations, per_node,
               track_beta)
-             for group in groups
              for lo, hi in zip(bounds, bounds[1:])]
     n = problem.n_nodes
-    sums = {algo.name: _Sums(iterations, n, per_node)
-            for algo in config.algorithms}
-    pending = list(config.algorithms)
-    done = set()
-    curves = {}
-    with closing(_simulated(tasks, workers)) as results:
-        for group in groups:
-            for group_res in islice(results, n_ranges):
-                for algo, res in zip(group, group_res):
-                    sums[algo.name].add(res)
-            done.update(algo.name for algo in group)
-            # curves in config order, each once its group is done
-            while pending and pending[0].name in done:
-                algo = pending.pop(0)
-                curves[algo.name] = sums[algo.name].curve(algo.name, n)
-    return curves
+    sums = [_Sums(iterations, n, per_node) for _ in algos]
+    for task_res in _simulated(tasks, workers):
+        for total, res in zip(sums, task_res):
+            total.add(res)
+    return {a.name: total.curve(a.name, n) for a, total in zip(algos, sums)}
 
 
 def steady_state_estimate(curve, tail_fraction=0.1):

@@ -12,16 +12,22 @@ reference that tests compare this loop against is `tests/reference.py`.
 Randomness contract: realization r of an experiment with master seed s
 draws from `default_rng(SeedSequence(s, spawn_key=(r,)))`, one fused
 standard-normal block per iteration (data regressors, observation noise,
-then per-channel link noise in x, y, phi order) followed by one uniform
-block for the mixture outlier indicators when the active noise phase has
-any outlier probability. Results for a given run index are therefore
-bit-identical no matter how runs are batched.
+then per-channel link noise on all links in x, y, phi order) followed by
+one uniform block for the mixture outlier indicators of every channel
+with an outlier probability in the active noise phase. Results for a
+given run index are therefore bit-identical no matter how runs are
+batched.
 
-The draws depend only on `(share_data, shares_phi)`, which fixes the
-link channels, the run index and the noise phase. Algorithms that agree
-on the pair form a stream group: `simulate_group` advances them in
-lockstep on one draw per run and iteration, and each gets exactly the
-records it gets alone (`simulate_runs`, a group of one).
+Every algorithm reads this one block, whether or not it uses the link
+channels, so every algorithm of a config sees the same regressors,
+observation noise and link noise at a run index (common random numbers).
+`simulate_group` draws it once per run and iteration and advances all
+its algorithms in lockstep on it; each gets exactly the records it gets
+alone (`simulate_runs`, a group of one). An algorithm with `share_data`
+and `shares_phi` always read this block; one that lacks either flag
+(noncoop-lms, ac-dlms-nds, dmtc-ds in the presets) used to read a shorter
+one, so its realizations differ from those earlier versions gave, and it
+pays for the full draw even when run alone.
 """
 
 from __future__ import annotations
@@ -189,19 +195,19 @@ class DrawBlock:
 class _Drawer:
     """Fused per-run noise generation with a fixed slice layout."""
 
-    def __init__(self, problem, use_cross_data, use_phi):
+    def __init__(self, problem):
         n, L, E = problem.n_nodes, problem.dim, problem.links.n_links
         self.n, self.L = n, L
         self.input_std = np.sqrt(problem.input_variance)
         self.obs_std = problem.obs_std()
         # link channels in stream order, with their per-run shapes
-        self.channels = [("x", (E, L)), ("y", (E,))] if use_cross_data else []
-        if use_phi:
-            self.channels.append(("phi", (E, L)))
+        self.channels = (("x", (E, L)), ("y", (E,)), ("phi", (E, L)))
         self.n_normals = n * L + n + sum(
             math.prod(shape) for _, shape in self.channels)
 
-    def draw(self, rngs, phase):
+    def draw(self, rngs, phase, read=("x", "y", "phi")):
+        """One iteration's draws. Channels not in `read` are drawn, so
+        the stream advances, but not scaled; they come back as None."""
         R = len(rngs)
         n, L = self.n, self.L
         normals = np.empty((R, self.n_normals))
@@ -226,6 +232,8 @@ class _Drawer:
             if phase.c[name] > 0:
                 u = uniforms[:, q : q + size].reshape((R,) + shape)
                 q += size
+            if name not in read:
+                continue
             sa, sb = phase.std_a[name], phase.std_b[name]
             if len(shape) == 2:
                 sa, sb = sa[:, None], sb[:, None]
@@ -353,11 +361,10 @@ class _Variant:
 
 def simulate_group(problem, algos, run_indices, iterations,
                    record_per_node=False, track_beta=False):
-    """Simulate a batch of realizations of algorithms that share a stream.
+    """Simulate a batch of realizations of any mix of algorithms.
 
-    The algorithms must agree on `(share_data, shares_phi)`, which fixes
-    the draws (see the randomness contract); they advance in lockstep on
-    one draw per iteration, and each keeps its own state and records.
+    They advance in lockstep on one draw per run and iteration (see the
+    randomness contract), and each keeps its own state and records.
     Returns one SimResult per algorithm, in order.
 
     Weight vectors start at zero. A run is marked diverged at the first
@@ -369,12 +376,9 @@ def simulate_group(problem, algos, run_indices, iterations,
         raise InvalidArgumentError("iterations must be >= 1")
     if not algos:
         raise InvalidArgumentError("a group needs at least one algorithm")
-    streams = {(a.share_data, a.shares_phi) for a in algos}
-    if len(streams) > 1:
-        raise InvalidArgumentError(
-            "algorithms of one group must agree on (share_data, shares_phi); "
-            f"got {sorted(streams)}")
-    (use_cross, use_phi), = streams
+    share_data = any(a.share_data for a in algos)
+    read = ((("x", "y") if share_data else ())
+            + (("phi",) if any(a.shares_phi for a in algos) else ()))
     ls = problem.links
     R = len(run_indices)
     h = problem.h
@@ -383,7 +387,7 @@ def simulate_group(problem, algos, run_indices, iterations,
         _PhaseParams.build(start, spec, ls, problem.obs_std() ** 2)
         for start, spec in problem.noise_phases
     ]
-    drawer = _Drawer(problem, use_cross, use_phi)
+    drawer = _Drawer(problem)
     rngs = [problem.run_rng(r) for r in run_indices]
     variants = [_Variant(problem, a, R, iterations, record_per_node,
                          track_beta) for a in algos]
@@ -393,10 +397,10 @@ def simulate_group(problem, algos, run_indices, iterations,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(iterations):
             ph = _phase_for(phases, i)
-            d = drawer.draw(rngs, ph)
+            d = drawer.draw(rngs, ph, read)
             X = d.x_in
             y = np.einsum("rnl,l->rn", X, h) + d.v_obs
-            if use_cross:
+            if share_data:
                 Xs = X[:, csrc, :] + d.nx[:, ls.cross_idx]
                 ys = y[:, csrc] + d.ny[:, ls.cross_idx]
             for v in variants:

@@ -323,7 +323,7 @@ def test_criterion_8_reductions():
     phases = [_PhaseParams.build(s, spec, problem.links,
                                  problem.obs_std() ** 2)
               for s, spec in problem.noise_phases]
-    drawer = _Drawer(problem, True, True)
+    drawer = _Drawer(problem)
     rngs = [problem.run_rng(r) for r in runs]
     h = np.asarray(cfg.h)
     W = [np.zeros((len(runs), len(h))) for _ in range(n)]

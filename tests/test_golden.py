@@ -6,9 +6,9 @@ to its mixture phase at iteration 150, so the outlier draws are pinned
 too; two extra entries pin the GD-TLS estimator and the LMS fallback of
 the total-correntropy estimator on a noiseless input channel.
 
-A second test simulates each case's digested algorithms stream group by
-stream group with `simulate_group` and checks the same digests, so the
-one-pass path the harness takes is pinned as well.
+A second test simulates all of each case's digested algorithms in one
+`simulate_group` pass and checks the same digests, so the one-pass path
+the harness takes is pinned as well.
 
 A third test pins the bytes of `difflab theory`'s `theory_report.txt`
 on compare.cfg at N=10 and N=100 and on fig1.cfg, so the closed form's
@@ -30,7 +30,6 @@ import pytest
 
 from difflab import cli
 from difflab.config import parse_config
-from difflab.harness import _stream_groups
 from difflab.simulate import simulate_group, simulate_runs
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
@@ -52,61 +51,61 @@ DIGESTS = {
     ("compare.cfg", "dmtc"):
         "9c5170afc379898d87692a22dd3f4821a6cc0c8f6c8db87a07bd92dd94e2b07e",
     ("fig1.cfg", "noncoop-lms"):
-        "fb2fd4dad8d9246cfd4caa16459fe63ca4ae54f48cc6a34e9db98dcabb679ab5",
+        "98379363dfa6b906fb9fa2e7d0a2dcc1b6ae006acb39f8f5c859a00490eec4ba",
     ("fig1.cfg", "dlms"):
         "b40e82e45309d9101de9aa14fd22bbebddb61677bbeeb476ed43da2900586814",
     ("fig1.cfg", "ac-dlms"):
         "79dcbf9bb849b5ef5609a3a2abe2ae7ddb17f88189db7a7f37f410cabbf7d541",
     ("fig1.cfg", "ac-dlms-nds"):
-        "eb4fe5b54bbe642eb45950e437a615a9eee6f176d3c9b3e80921c2981ac93c1f",
+        "d008e8dc7bd2819699c20c5bd436d624c4f210fec493c16e3c16e78537d89172",
     ("fig1.cfg", "dmcc"):
         "f360e69e20299f4772c91263c67ccba4f49daf129ee38b1f8ce7160480ea0bcc",
     ("fig1.cfg", "dmtc-ds"):
-        "a7e97d2e91a247e5624e0af61e9e137a98256b98e2a157803445752fc9a509a6",
+        "ce5748accc8a254966e0776c8c542aade8689722f65852801594a4f8a1a31553",
     ("fig1.cfg", "ac-dmtc"):
         "efc44b2638b8c7f10180f43e1dd4213291a0ed97e2123d322caaa6b8a0941eb5",
     ("fig1.cfg", "dgdtls"):
         "3daa185206f505d421a93f2e0c42b355e3899a13fd7e4c86136d3f7011639ecb",
     ("fig2a.cfg", "noncoop-lms"):
-        "fb2fd4dad8d9246cfd4caa16459fe63ca4ae54f48cc6a34e9db98dcabb679ab5",
+        "72fef7e3b095011800f775ce42417b36482cb034739003a7088ffb3bb07e3227",
     ("fig2a.cfg", "dlms"):
         "6b65cf695f47a929c26ace9b2dddf81ade772e10b7cdf63ae041c1ba30065118",
     ("fig2a.cfg", "ac-dlms"):
         "3596c401af5233a3dff9e83fc06239780c39131e6034be4acfdf4735a3c0b36c",
     ("fig2a.cfg", "ac-dlms-nds"):
-        "ce095bd6bbb7788ba239f1184e28f4e7061c8752384109130583f0e2cda92ed6",
+        "109bc0383443a01f60aea8a9ec0e51eb6173bff004d2c995f32201bfd43b15d6",
     ("fig2a.cfg", "dmcc"):
         "0753a0ec1ac5e043029e9b7f72d43fffc85171662c210c0023f37ff8cea54afb",
     ("fig2a.cfg", "dmtc-ds"):
-        "5d323ffcc37bf504edc737a557165ffaf687c7c5cdeb1a96d5fec052e66f0abd",
+        "60b28167f17cbb9e34e39f3b2e027b5cd6ab1ceec52a893d54e26071dabdc043",
     ("fig2a.cfg", "ac-dmtc"):
         "71371fe0984460cb5763589f60a5208ad0a86d7c83b706fab93a237989412f64",
     ("fig2b.cfg", "noncoop-lms"):
-        "fb2fd4dad8d9246cfd4caa16459fe63ca4ae54f48cc6a34e9db98dcabb679ab5",
+        "72fef7e3b095011800f775ce42417b36482cb034739003a7088ffb3bb07e3227",
     ("fig2b.cfg", "dlms"):
         "6b65cf695f47a929c26ace9b2dddf81ade772e10b7cdf63ae041c1ba30065118",
     ("fig2b.cfg", "ac-dlms"):
         "3596c401af5233a3dff9e83fc06239780c39131e6034be4acfdf4735a3c0b36c",
     ("fig2b.cfg", "ac-dlms-nds"):
-        "ce095bd6bbb7788ba239f1184e28f4e7061c8752384109130583f0e2cda92ed6",
+        "109bc0383443a01f60aea8a9ec0e51eb6173bff004d2c995f32201bfd43b15d6",
     ("fig2b.cfg", "dmcc"):
         "0753a0ec1ac5e043029e9b7f72d43fffc85171662c210c0023f37ff8cea54afb",
     ("fig2b.cfg", "dmtc-ds"):
-        "5d323ffcc37bf504edc737a557165ffaf687c7c5cdeb1a96d5fec052e66f0abd",
+        "60b28167f17cbb9e34e39f3b2e027b5cd6ab1ceec52a893d54e26071dabdc043",
     ("fig2b.cfg", "ac-dmtc"):
         "71371fe0984460cb5763589f60a5208ad0a86d7c83b706fab93a237989412f64",
     ("fig2c.cfg", "noncoop-lms"):
-        "fb2fd4dad8d9246cfd4caa16459fe63ca4ae54f48cc6a34e9db98dcabb679ab5",
+        "72fef7e3b095011800f775ce42417b36482cb034739003a7088ffb3bb07e3227",
     ("fig2c.cfg", "dlms"):
         "99366c0ea5b97b8c7bc094a90536d2da882982077894f668d1a19454554afeda",
     ("fig2c.cfg", "ac-dlms"):
         "83a6a95471b5c395f9650faf55da434763ad422acd1e74efa90788cef6d1dceb",
     ("fig2c.cfg", "ac-dlms-nds"):
-        "50741ca248acc24654dbbbd370b18fca1afdebcf98ce6cba2bff3a23f19c98a5",
+        "f09f47772a7eb88c38e61b746057d75169e6245f7953876927816705ca55049a",
     ("fig2c.cfg", "dmcc"):
         "07ead81420da29d47a20208eb16be9ce4d2f72047580b3eea7488f7147de4738",
     ("fig2c.cfg", "dmtc-ds"):
-        "4682e05c6fe421987f7a0a87fa746e866ccc8204feb3c76951f0750620cd088e",
+        "bd84ea1c29bdcf1df057cd75a1c526be51a19a4f00c7b6a18051bd44f6611980",
     ("fig2c.cfg", "ac-dmtc"):
         "7d9b05d4702cb92302c7387c98d34da24f80c1ccb7dff26b256775d4fb9bcdb0",
     ("fig3.cfg", "ac-dmtc"):
@@ -155,10 +154,9 @@ def test_golden_digest(key):
 def test_golden_digest_grouped(case):
     problem, algos = _problem_and_algos(case)
     digested = [algos[name] for c, name in sorted(DIGESTS) if c == case]
-    for group in _stream_groups(digested):
-        results = simulate_group(problem, group, RUNS, ITERATIONS)
-        assert {a.name: sha(res) for a, res in zip(group, results)} == \
-            {a.name: DIGESTS[case, a.name] for a in group}
+    results = simulate_group(problem, digested, RUNS, ITERATIONS)
+    assert {a.name: sha(res) for a, res in zip(digested, results)} == \
+        {a.name: DIGESTS[case, a.name] for a in digested}
 
 
 @pytest.mark.parametrize("key", sorted(THEORY_DIGESTS),

@@ -116,14 +116,14 @@ def test_one_pool_per_call_capped_at_task_count(monkeypatch):
     made = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(made, max_workers))
-    # "a" and "b" share a stream group, "c" draws no cross-link data
+    # "c" shares no data; a task carries all three algorithms
     algos = (AlgorithmSpec("a", step_size=0.1),
              AlgorithmSpec("c", share_data=False, step_size=0.1),
              AlgorithmSpec("b", step_size=0.05))
-    # 40 runs: ceil(40 / 16) = 3 ranges per group, 6 tasks in all
+    # 40 runs: ceil(40 / 16) = 3 ranges, one task each
     cfg = make_config(algorithms=algos, runs=40, iterations=20)
     pooled = monte_carlo_msd(cfg, n_jobs=64)
-    assert [p.max_workers for p in made] == [6]
+    assert [p.max_workers for p in made] == [3]
     assert made[0].closed
     assert list(pooled) == ["a", "c", "b"]
     serial = monte_carlo_msd(cfg, n_jobs=1)
@@ -136,8 +136,8 @@ def test_one_pool_per_call_capped_at_task_count(monkeypatch):
 
 
 def test_one_stream_per_group_and_run(monkeypatch):
-    # fig1's seven algorithms fall in four stream groups, and each group
-    # opens a run's stream once
+    # fig1's seven algorithms advance in one pass, which opens each
+    # run's stream once
     opened = []
     run_rng = NetworkProblem.run_rng
 
@@ -151,7 +151,31 @@ def test_one_stream_per_group_and_run(monkeypatch):
     curves = monte_carlo_msd(cfg, n_jobs=1)
     assert list(curves) == [a.name for a in cfg.algorithms]
     assert len(cfg.algorithms) == 7
-    assert sorted(opened) == sorted(list(range(3)) * 4)
+    assert sorted(opened) == list(range(3))
+
+
+def test_per_node_tasks_capped_in_records(monkeypatch):
+    # 7 algorithms x 9 runs is the most records under the cap of 64, so
+    # 64 per-node runs take 8 tasks of 8 runs; without per-node records
+    # they are one 64-run task
+    ranges = []
+    simulate_group = harness.simulate_group
+
+    def recording(problem, algos, run_indices, *args, **kw):
+        ranges.append((len(algos), list(run_indices)))
+        return simulate_group(problem, algos, run_indices, *args, **kw)
+    monkeypatch.setattr(harness, "simulate_group", recording)
+    fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
+    cfg = parse_config(fig1, (("simulation.runs", 64),
+                              ("simulation.iterations", 3)))
+    monte_carlo_msd(replace(cfg, per_node_msd=True), n_jobs=1)
+    assert harness.MAX_TASK_RUNS_PER_NODE == 64
+    assert [n for n, _ in ranges] == [7] * 8
+    assert [r for _, r in ranges] == [list(range(lo, lo + 8))
+                                      for lo in range(0, 64, 8)]
+    ranges.clear()
+    monte_carlo_msd(cfg, n_jobs=1)
+    assert ranges == [(7, list(range(64)))]
 
 
 def test_all_diverged_in_pool_raises_and_shuts_pool_down(monkeypatch):

@@ -7,12 +7,12 @@ import pytest
 from difflab.config import parse_config
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import InvalidArgumentError
-from difflab.harness import _stream_groups
 from difflab.noise import GmmSpec, LinkNoiseSpec
 from difflab.simulate import (
     NetworkProblem,
     _Drawer,
     _PhaseParams,
+    _Variant,
     _phase_for,
     simulate_group,
     simulate_runs,
@@ -66,7 +66,7 @@ def reference_sq_net(problem, algo, run_index, iterations):
     ls = problem.links
     phases = [_PhaseParams.build(s, spec, ls, problem.obs_std() ** 2)
               for s, spec in problem.noise_phases]
-    drawer = _Drawer(problem, algo.share_data, algo.shares_phi)
+    drawer = _Drawer(problem)
     rngs = [problem.run_rng(run_index)]
     states = initial_states(problem)
     out = np.empty(iterations)
@@ -148,6 +148,8 @@ def test_problem_validation():
     problem = NetworkProblem(graph, H, w, ((0, spec),))
     with pytest.raises(InvalidArgumentError):
         simulate_runs(problem, VARIANTS[0], [0], 0)
+    with pytest.raises(InvalidArgumentError):
+        simulate_group(problem, (), [0], 5)
 
 
 def test_per_node_observation_variance():
@@ -190,25 +192,56 @@ def test_group_pass_equals_solo_runs(path):
         overrides = (("noise.after.switch_iteration", 60),)
     cfg = parse_config(path, overrides)
     problem = cfg.build_problem()
-    for group in _stream_groups(cfg.algorithms):
-        for per_node, beta in ((False, False), (True, True)):
-            grouped = simulate_group(problem, group, [0, 2, 3], 120,
-                                     record_per_node=per_node,
-                                     track_beta=beta)
-            assert len(grouped) == len(group)
-            for algo, res in zip(group, grouped):
-                solo = simulate_runs(problem, algo, [0, 2, 3], 120,
-                                     record_per_node=per_node,
-                                     track_beta=beta)
-                assert_same_result(res, solo)
+    for per_node, beta in ((False, False), (True, True)):
+        grouped = simulate_group(problem, cfg.algorithms, [0, 2, 3], 120,
+                                 record_per_node=per_node, track_beta=beta)
+        assert len(grouped) == len(cfg.algorithms)
+        for algo, res in zip(cfg.algorithms, grouped):
+            solo = simulate_runs(problem, algo, [0, 2, 3], 120,
+                                 record_per_node=per_node, track_beta=beta)
+            assert_same_result(res, solo)
+
+
+def test_every_algorithm_reads_one_draw(monkeypatch):
+    # fig1's seven algorithms, mixture phase from iteration 10: each
+    # iteration draws once, and every algorithm steps on that one block
+    fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
+    cfg = parse_config(fig1, (("noise.after.switch_iteration", 10),))
+    problem = cfg.build_problem()
+    drawn, seen = [], []
+    draw, step = _Drawer.draw, _Variant.step
+
+    def spy_draw(self, rngs, phase, read=("x", "y", "phi")):
+        drawn.append(draw(self, rngs, phase, read))
+        return drawn[-1]
+
+    def spy_step(self, i, ph, d, *args):
+        seen.append((i, d))
+        return step(self, i, ph, d, *args)
+    monkeypatch.setattr(_Drawer, "draw", spy_draw)
+    monkeypatch.setattr(_Variant, "step", spy_step)
+    runs, iterations = [0, 1, 4], 20
+    full = simulate_group(problem, cfg.algorithms, runs, iterations)
+    assert len(drawn) == iterations
+    assert len(seen) == iterations * len(cfg.algorithms)
+    assert all(d is drawn[i] for i, d in seen)
+    for d in drawn:
+        assert d.x_in.shape[0] == len(runs)
+        assert all(noise is not None for noise in (d.nx, d.ny, d.nphi))
+    # the one block is the full layout, so an algorithm that shares
+    # nothing gets the same records alone as in the full pass
+    names = [a.name for a in cfg.algorithms]
+    noncoop = cfg.algorithms[names.index("noncoop-lms")]
+    assert (noncoop.share_data, noncoop.shares_phi) == (False, False)
+    monkeypatch.undo()
+    assert_same_result(full[names.index("noncoop-lms")],
+                       simulate_runs(problem, noncoop, runs, iterations))
 
 
 def test_diverged_variant_freezes_nobody_else():
     problem = make_problem()
     bad = AlgorithmSpec("bad", step_size=50.0)
     stable = VARIANTS[1]
-    assert (bad.share_data, bad.shares_phi) == (stable.share_data,
-                                                stable.shares_phi)
     res_bad, res_stable = simulate_group(problem, (bad, stable), [0, 1], 60,
                                          record_per_node=True)
     assert (res_bad.diverged_at >= 0).all()
@@ -217,11 +250,3 @@ def test_diverged_variant_freezes_nobody_else():
                                                  record_per_node=True))
     assert_same_result(res_bad, simulate_runs(problem, bad, [0, 1], 60,
                                               record_per_node=True))
-
-
-def test_group_refuses_mixed_streams():
-    problem = make_problem()
-    with pytest.raises(InvalidArgumentError, match="share_data"):
-        simulate_group(problem, (VARIANTS[0], VARIANTS[1]), [0], 5)
-    with pytest.raises(InvalidArgumentError):
-        simulate_group(problem, (), [0], 5)

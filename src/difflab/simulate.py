@@ -28,6 +28,17 @@ and `shares_phi` always read this block; one that lacks either flag
 (noncoop-lms, ac-dlms-nds, dmtc-ds in the presets) used to read a shorter
 one, so its realizations differ from those earlier versions gave, and it
 pays for the full draw even when run alone.
+
+Beyond the draws, two kinds of operation fix the output bits: the
+neighborhood sums `np.add.reduceat` and the `einsum` contractions over
+the L axis (residuals, norms, squared errors). The golden digests pin
+their summation order, so they must not become matmul, `np.vecdot`,
+`(x * x).sum(-1)` or a padded gather-sum; each of those adds in another
+order and changes the last bits. Everything else in the loop only moves
+data, and does so with `take` along the link axis on index arrays that
+`LinkStructure` builds once (src, dst, cross_idx and perm): on
+(runs, links, L) arrays that is several times cheaper than middle-axis
+fancy indexing, for the same values.
 """
 
 from __future__ import annotations
@@ -55,7 +66,9 @@ DIVERGENCE_NORM = 1e6
 class LinkStructure:
     """Directed links (l -> k) for l in N_k, self links included.
 
-    Sorted by destination so per-node sums are reduceat segments.
+    Sorted by destination so per-node sums are reduceat segments. perm
+    puts an array laid out as its cross links then its self links (in
+    cross_idx, self_idx order) back in link order: `a.take(perm, axis)`.
     """
 
     src: np.ndarray
@@ -64,6 +77,7 @@ class LinkStructure:
     seg_starts: np.ndarray
     self_idx: np.ndarray
     cross_idx: np.ndarray
+    perm: np.ndarray
 
     @classmethod
     def from_graph(cls, graph):
@@ -76,8 +90,13 @@ class LinkStructure:
         dst = np.asarray(dst)
         is_self = src == dst
         seg_starts = np.searchsorted(dst, np.arange(graph.n_nodes))
-        return cls(src, dst, is_self, seg_starts, np.flatnonzero(is_self),
-                   np.flatnonzero(~is_self))
+        self_idx, cross_idx = np.flatnonzero(is_self), np.flatnonzero(~is_self)
+        # the inverse of the cross-then-self order, by a scatter: an
+        # argsort would page in numpy's sort kernels (~0.25 MiB of RSS)
+        order = np.concatenate((cross_idx, self_idx))
+        perm = np.empty_like(order)
+        perm[order] = np.arange(order.size)
+        return cls(src, dst, is_self, seg_starts, self_idx, cross_idx, perm)
 
     @property
     def n_links(self):
@@ -212,13 +231,13 @@ class _Drawer:
         n, L = self.n, self.L
         normals = np.empty((R, self.n_normals))
         for r, rng in enumerate(rngs):
-            normals[r] = rng.standard_normal(self.n_normals)
+            rng.standard_normal(out=normals[r])
         n_uniforms = sum(math.prod(shape) for name, shape in self.channels
                          if phase.c[name] > 0)
         if n_uniforms:
             uniforms = np.empty((R, n_uniforms))
             for r, rng in enumerate(rngs):
-                uniforms[r] = rng.random(n_uniforms)
+                rng.random(out=uniforms[r])
         x_in = normals[:, : n * L].reshape(R, n, L) * self.input_std
         v_obs = normals[:, n * L : n * L + n] * self.obs_std
 
@@ -267,11 +286,12 @@ class _Variant:
         self.links, self.h = ls, problem.h
         self.cdst = ls.dst[ls.cross_idx]
         self.mu = algo.step_sizes(n)
-        self.alpha = (problem.weights[ls.src, ls.dst]
-                      if algo.share_data else None)
-        self.cfix = None
+        self.mu3 = self.mu[None, :, None]
+        link_weights = problem.weights[ls.src, ls.dst][None, :, None]
+        self.alpha3 = link_weights if algo.share_data else None
+        self.cfix3 = None
         if algo.shares_phi and not algo.adaptive_combination:
-            self.cfix = problem.weights[ls.src, ls.dst]
+            self.cfix3 = link_weights
         self.track_beta = track_beta
         self.W = np.zeros((R, n, L))
         self.delta2 = np.ones((R, E))
@@ -284,11 +304,9 @@ class _Variant:
 
     def step(self, i, ph, d, X, y, Xs, ys):
         """One adapt-then-combine iteration on the group's shared draws."""
-        algo, mu, W = self.algo, self.mu, self.W
+        algo, W = self.algo, self.W
         ls, h = self.links, self.h
-        R, E, L = W.shape[0], ls.n_links, W.shape[2]
         src, dst, starts = ls.src, ls.dst, ls.seg_starts
-        cross, self_idx = ls.cross_idx, ls.self_idx
         est = algo.estimator
 
         # the self-link LMS gradient; the adaptive rule's one-step
@@ -296,7 +314,7 @@ class _Variant:
         g_node = lms_gradient(W, X, y)
 
         if algo.share_data:
-            Wd = W[:, self.cdst, :]
+            Wd = W.take(self.cdst, axis=1)
             if est == "mcc":
                 gc = mcc_gradient(Wd, Xs, ys, algo.mcc_kernel2.value(i))
             elif est == "mtc" and ph.tls_ok:
@@ -305,48 +323,49 @@ class _Variant:
                 gc = gdtls_gradient(Wd, Xs, ys, ph.gamma)
             else:
                 gc = lms_gradient(Wd, Xs, ys)
-            g = np.empty((R, E, L))
-            g[:, cross] = gc
-            g[:, self_idx] = g_node
-            phi = W + mu[None, :, None] * np.add.reduceat(
-                self.alpha[None, :, None] * g, starts, axis=1
-            )
+            g = np.concatenate((gc, g_node), axis=1).take(ls.perm, axis=1)
+            phi = W + self.mu3 * np.add.reduceat(self.alpha3 * g, starts,
+                                                 axis=1)
         else:
-            phi = W + mu[None, :, None] * g_node
+            phi = W + self.mu3 * g_node
 
         if algo.shares_phi:
-            phis = phi[:, src, :] + d.nphi
+            phis = phi.take(src, axis=1) + d.nphi
             if algo.adaptive_combination:
                 gn = np.sqrt(np.einsum("rnl,rnl->rn", g_node, g_node))
-                w_hat = W + (mu[None, :] / (gn + algo.epsilon))[..., None] * g_node
-                dev = phis - w_hat[:, dst, :]
+                scale = self.mu[None, :] / (gn + algo.epsilon)
+                w_hat = W + scale[..., None] * g_node
+                dev = phis - w_hat.take(dst, axis=1)
                 dev2 = np.einsum("rel,rel->re", dev, dev)
                 delta2 = (1.0 - algo.chi) * self.delta2 + algo.chi * dev2
                 np.maximum(delta2, DELTA2_FLOOR, out=delta2)
                 self.delta2 = delta2
                 inv = 1.0 / delta2
-                beta = inv / np.add.reduceat(inv, starts, axis=1)[:, dst]
+                seg = np.add.reduceat(inv, starts, axis=1)
+                beta = inv / seg.take(dst, axis=1)
                 if self.track_beta:
                     sums = np.add.reduceat(beta, starts, axis=1)
                     active = self.active
                     err = float(np.abs(sums[active] - 1.0).max()) if active.any() else 0.0
                     self.beta_sum_err = max(self.beta_sum_err, err)
+                beta = beta[..., None]
             else:
-                beta = np.broadcast_to(self.cfix, (R, E))
-            W_new = np.add.reduceat(beta[..., None] * phis, starts, axis=1)
+                beta = self.cfix3
+            W_new = np.add.reduceat(beta * phis, starts, axis=1)
         else:
             W_new = phi
 
         node_norm2 = np.einsum("rnl,rnl->rn", W_new, W_new)
-        ok = np.isfinite(node_norm2).all(axis=1) & (
-            np.max(node_norm2, axis=1) <= DIVERGENCE_NORM**2
-        )
+        # False for nan and inf too, so this is also the finiteness check
+        ok = node_norm2.max(axis=1) <= DIVERGENCE_NORM**2
         newly_bad = self.active & ~ok
         if newly_bad.any():
             self.diverged_at[newly_bad] = i
             self.active &= ok
-        keep = self.active[:, None, None]
-        W = self.W = np.where(keep, W_new, W)
+        if self.active.all():
+            W = self.W = W_new
+        else:
+            W = self.W = np.where(self.active[:, None, None], W_new, W)
 
         diff = W - h
         sq = np.einsum("rnl,rnl->rn", diff, diff)
@@ -391,18 +410,18 @@ def simulate_group(problem, algos, run_indices, iterations,
     rngs = [problem.run_rng(r) for r in run_indices]
     variants = [_Variant(problem, a, R, iterations, record_per_node,
                          track_beta) for a in algos]
-    csrc = ls.src[ls.cross_idx]
+    schedule = [_phase_for(phases, i) for i in range(iterations)]
+    csrc, cross = ls.src[ls.cross_idx], ls.cross_idx
     Xs = ys = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(iterations):
-            ph = _phase_for(phases, i)
+        for i, ph in enumerate(schedule):
             d = drawer.draw(rngs, ph, read)
             X = d.x_in
             y = np.einsum("rnl,l->rn", X, h) + d.v_obs
             if share_data:
-                Xs = X[:, csrc, :] + d.nx[:, ls.cross_idx]
-                ys = y[:, csrc] + d.ny[:, ls.cross_idx]
+                Xs = X.take(csrc, axis=1) + d.nx.take(cross, axis=1)
+                ys = y.take(csrc, axis=1) + d.ny.take(cross, axis=1)
             for v in variants:
                 v.step(i, ph, d, X, y, Xs, ys)
 

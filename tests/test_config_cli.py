@@ -566,3 +566,34 @@ def test_cli_theory_random_overrides_exit_cleanly(overrides):
                          "--out", out, *sets])
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
                     cli.EXIT_NUMERICAL, cli.EXIT_INSTABILITY)
+
+
+_RUN_OVERRIDES = st.one_of(
+    _THEORY_OVERRIDES,
+    st.tuples(st.sampled_from([f"noise.after.{ch}.{key}"
+                               for ch in ("x", "y", "phi")
+                               for key in ("c", "sigma_a2", "sigma_b2")]),
+              _ANY_FLOAT),
+)
+
+
+@pytest.mark.parametrize("preset", ["compare.cfg", "fig1.cfg"])
+@settings(max_examples=100, deadline=None)
+@given(overrides=st.lists(_RUN_OVERRIDES, max_size=6),
+       runs=st.integers(1, 4), iterations=st.integers(1, 30),
+       switch=st.integers(0, 30))
+def test_cli_run_random_overrides_exit_cleanly(preset, overrides, runs,
+                                               iterations, switch):
+    # the same inputs through the simulator: run either writes its curves
+    # or refuses with a documented exit code. The size is set last, so it
+    # wins; fig1's mixture phase starts inside the run.
+    sets = ([f"noise.after.switch_iteration={switch}"]
+            if preset == "fig1.cfg" else [])
+    sets += [f"{key}={value}" for key, value in overrides]
+    sets += [f"simulation.runs={runs}", f"simulation.iterations={iterations}"]
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["run", "--config", os.path.join(PRESET_DIR, preset),
+                         "--out", out, "--jobs", "1",
+                         *(arg for s in sets for arg in ("--set", s))])
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
+                    cli.EXIT_NUMERICAL, cli.EXIT_INSTABILITY)

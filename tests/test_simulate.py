@@ -96,6 +96,15 @@ def test_batching_is_bit_exact():
     second = simulate_runs(problem, algo, [2, 3], 20)
     assert (full.sq_net[:2] == first.sq_net).all()
     assert (full.sq_net[2:] == second.sq_net).all()
+    # a batch where only some runs diverge: frozen and live runs side by
+    # side, each with the records of its solo run
+    shaky = AlgorithmSpec("shaky", step_size=1.3)
+    batch = simulate_runs(problem, shaky, [0, 1, 2, 3], 60)
+    assert (batch.diverged_at >= 0).any() and (batch.diverged_at == -1).any()
+    for r in range(4):
+        solo = simulate_runs(problem, shaky, [r], 60)
+        assert batch.sq_net[r].tobytes() == solo.sq_net[0].tobytes()
+        assert batch.diverged_at[r] == solo.diverged_at[0]
 
 
 def test_run_index_defines_the_stream():
@@ -192,6 +201,9 @@ def test_group_pass_equals_solo_runs(path):
         overrides = (("noise.after.switch_iteration", 60),)
     cfg = parse_config(path, overrides)
     problem = cfg.build_problem()
+    ls = problem.links
+    order = np.concatenate((ls.cross_idx, ls.self_idx))
+    assert (order.take(ls.perm) == np.arange(ls.n_links)).all()
     for per_node, beta in ((False, False), (True, True)):
         grouped = simulate_group(problem, cfg.algorithms, [0, 2, 3], 120,
                                  record_per_node=per_node, track_beta=beta)

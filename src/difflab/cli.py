@@ -131,20 +131,19 @@ def _cmd_sweep(config, args):
     if not param or not values:
         raise InvalidArgumentError(
             "sweep needs --param and --values (or a sweep section in the config)")
-    rows = sweep(config, param, values, n_jobs=args.jobs)
     order = [a.name for a in config.algorithms]
+    rows = [(f"{value:g}", [steady_state_estimate(curves[n]) for n in order])
+            for value, curves in sweep(config, param, values, args.jobs)]
     out = os.path.join(args.out, f"sweep_{param}.csv")
     _write_atomic(out, _db_csv(
-        "param_value", [f"{n}_steady_db" for n in order],
-        ((f"{row.value:g}", [row.steady_db[n] for n in order])
-         for row in rows)))
+        "param_value", [f"{n}_steady_db" for n in order], rows))
     if args.gnuplot:
         gp = os.path.join(args.out, f"sweep_{param}.gp")
         _write_atomic(gp, _gnuplot_script(
             f"sweep_{param}.csv", order, param))
-    for row in rows:
-        cells = "  ".join(f"{n}={_fmt(row.steady_db[n])}" for n in order)
-        print(f"{param}={row.value:g}  {cells}")
+    for value, steady in rows:
+        cells = "  ".join(f"{n}={_fmt(db)}" for n, db in zip(order, steady))
+        print(f"{param}={value}  {cells}")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -2,13 +2,14 @@
 
 A scenario is fixed by an ExperimentConfig (defined in `config.py`);
 each algorithm is simulated over `monte_carlo_runs` independent
-realizations. Every algorithm of a config is simulated in one pass on
-one draw per run and iteration (`simulate.simulate_group`); a pool task
-is one run range carrying every algorithm. Diverged realizations are
-excluded from the averages and counted, never silently dropped. Each
-algorithm's good runs are added to its ensemble sums one at a time in
-run-index order, so the curves are bit-identical however the runs are
-split into tasks, and whatever the worker count.
+realizations. Every algorithm of a config, or of every value of a
+sweep, is a variant of one pass on one draw per run and iteration
+(`simulate.simulate_group`); a pool task is one run range carrying every
+variant. Diverged realizations are excluded from the averages and
+counted, never silently dropped. Each variant's good runs are added to
+its ensemble sums one at a time in run-index order, so the curves are
+bit-identical however the runs are split into tasks, and whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
                      stepsize_upper_bound)
 
 # Runs per pool task. Throughput per run is flat from MIN_TASK_RUNS up;
-# the caps bound the records one task returns: MAX_TASK_RUNS counts
-# runs, MAX_TASK_RUNS_PER_NODE counts runs x algorithms, since every
-# algorithm of a task returns its own (runs, iterations, N) record.
+# the caps bound the records one task returns, in runs x variants, since
+# every variant of a task returns its own record: (runs, iterations)
+# under MAX_TASK_RUNS, (runs, iterations, N) under MAX_TASK_RUNS_PER_NODE.
 MIN_TASK_RUNS = 16
-MAX_TASK_RUNS = 64
+MAX_TASK_RUNS = 896
 MAX_TASK_RUNS_PER_NODE = 64
 
 
@@ -59,21 +60,15 @@ def worker_count(n_jobs=None):
     return max(1, os.cpu_count() or 1)
 
 
-def _simulate_task(args):
-    problem, algos, run_indices, iterations, per_node, track_beta = args
-    return simulate_group(problem, algos, run_indices, iterations,
-                          record_per_node=per_node, track_beta=track_beta)
-
-
 def _simulated(tasks, workers):
-    """simulate_group results of tasks in task order, one at a time;
-    with more than one worker the tasks go to one process pool."""
+    """simulate_group results of tasks (argument tuples) in task order,
+    one at a time; with more than one worker, from one process pool."""
     workers = min(workers, len(tasks))
     if workers < 2:
-        yield from map(_simulate_task, tasks)
+        yield from map(simulate_group, *zip(*tasks))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_simulate_task, tasks)
+        yield from pool.map(simulate_group, *zip(*tasks))
 
 
 class _Sums:
@@ -110,36 +105,46 @@ class _Sums:
         )
 
 
-def monte_carlo_msd(config, n_jobs=None, track_beta=False):
-    """Learning curves for every configured algorithm, in config order.
-
-    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2.
+def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
+              track_beta=False):
+    """LearningCurves of the `simulate_group` variants (algos[i],
+    noise_phases[i]) over config's runs and iterations, in order.
 
     The runs are split into contiguous run-index ranges of near-equal
     size: one per worker but at most one per MIN_TASK_RUNS runs, and
-    more where a range would exceed the task cap. A task is every
-    algorithm over one range, simulated in one pass; the tasks share one
-    process pool.
+    more where a range would exceed the task cap, in whole rounds of
+    workers so that none idles at the end. A task is every variant over
+    one range; the tasks share one process pool.
     """
-    problem = config.build_problem()
     runs, iterations = config.monte_carlo_runs, config.iterations
-    algos = config.algorithms
     per_node = config.per_node_msd
     workers = worker_count(n_jobs)
-    cap = (max(1, MAX_TASK_RUNS_PER_NODE // len(algos)) if per_node
-           else MAX_TASK_RUNS)
+    cap = max(1, (MAX_TASK_RUNS_PER_NODE if per_node else MAX_TASK_RUNS)
+              // len(algos))
     n_ranges = max(math.ceil(runs / cap),
                    min(workers, math.ceil(runs / MIN_TASK_RUNS)))
+    if n_ranges > workers:
+        n_ranges = min(runs, math.ceil(n_ranges / workers) * workers)
     bounds = [runs * i // n_ranges for i in range(n_ranges + 1)]
     tasks = [(problem, algos, list(range(lo, hi)), iterations, per_node,
-              track_beta)
+              track_beta, noise_phases)
              for lo, hi in zip(bounds, bounds[1:])]
     n = problem.n_nodes
     sums = [_Sums(iterations, n, per_node) for _ in algos]
     for task_res in _simulated(tasks, workers):
         for total, res in zip(sums, task_res):
             total.add(res)
-    return {a.name: total.curve(a.name, n) for a, total in zip(algos, sums)}
+    return [total.curve(a.name, n) for a, total in zip(algos, sums)]
+
+
+def monte_carlo_msd(config, n_jobs=None, track_beta=False):
+    """Learning curves for every configured algorithm, in config order.
+
+    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2.
+    """
+    return {c.name: c for c in _ensemble(
+        config, config.build_problem(), config.algorithms, n_jobs=n_jobs,
+        track_beta=track_beta)}
 
 
 def steady_state_estimate(curve, tail_fraction=0.1):
@@ -169,12 +174,9 @@ def _substitute(config, param, value):
         def patch(spec):
             if spec is None:
                 return None
-            return replace(
-                spec,
-                x=replace(spec.x, **{param: value}),
-                y=replace(spec.y, **{param: value}),
-                phi=replace(spec.phi, **{param: value}),
-            )
+            return replace(spec, **{ch: replace(getattr(spec, ch),
+                                                **{param: value})
+                                    for ch in ("x", "y", "phi")})
         return replace(config, noise=patch(config.noise),
                        noise_after=patch(config.noise_after))
     if param == "zeta2":
@@ -198,27 +200,22 @@ def _substitute(config, param, value):
     )
 
 
-@dataclass
-class SweepRow:
-    value: float
-    steady_db: dict       # algo name -> dB
-    diverged: dict        # algo name -> diverged run count
+def sweep(config, param, values, n_jobs=None):
+    """Learning curves for each swept parameter value, in sorted order:
+    a list of (value, {algorithm name: LearningCurve}).
 
-
-def sweep(config, param, values, tail_fraction=0.1, n_jobs=None):
-    """Steady-state MSD per algorithm for each swept parameter value."""
+    Each value's algorithms, with its noise phases, are variants of one
+    pass, so the problem is built once and each run drawn once.
+    """
     if not values:
         raise InvalidArgumentError("sweep needs at least one value")
-    rows = []
-    for v in sorted(values):
-        curves = monte_carlo_msd(_substitute(config, param, v), n_jobs=n_jobs)
-        rows.append(SweepRow(
-            value=float(v),
-            steady_db={n: steady_state_estimate(c, tail_fraction)
-                       for n, c in curves.items()},
-            diverged={n: c.diverged_runs for n, c in curves.items()},
-        ))
-    return rows
+    subs = [_substitute(config, param, v) for v in sorted(values)]
+    algos = [a for sub in subs for a in sub.algorithms]
+    phases = [sub.noise_phases() for sub in subs for _ in sub.algorithms]
+    curves = iter(_ensemble(config, config.build_problem(), algos, phases,
+                            n_jobs))
+    return [(float(v), {a.name: next(curves) for a in config.algorithms})
+            for v in sorted(values)]
 
 
 def theory_inputs(problem, algo):
@@ -329,10 +326,9 @@ def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
                  if algo_name in (None, a.name)), None)
     if algo is None:
         raise InvalidArgumentError(f"no algorithm named {algo_name!r}")
-    predicted = closed_form(config.build_problem(), algo,
-                            compare=True).prediction
-    sub = replace(config, algorithms=(algo,))
-    curve = monte_carlo_msd(sub, n_jobs=n_jobs)[algo.name]
+    problem = config.build_problem()
+    predicted = closed_form(problem, algo, compare=True).prediction
+    curve, = _ensemble(config, problem, (algo,), n_jobs=n_jobs)
     simulated_db = steady_state_estimate(curve, tail_fraction)
     gap = (0.0 if predicted.msd_linear == 0.0 and simulated_db == -math.inf
            else predicted.msd_db - simulated_db)

@@ -18,16 +18,15 @@ with an outlier probability in the active noise phase. Results for a
 given run index are therefore bit-identical no matter how runs are
 batched.
 
-Every algorithm reads this one block, whether or not it uses the link
-channels, so every algorithm of a config sees the same regressors,
-observation noise and link noise at a run index (common random numbers).
-`simulate_group` draws it once per run and iteration and advances all
-its algorithms in lockstep on it; each gets exactly the records it gets
-alone (`simulate_runs`, a group of one). An algorithm with `share_data`
-and `shares_phi` always read this block; one that lacks either flag
-(noncoop-lms, ac-dlms-nds, dmtc-ds in the presets) used to read a shorter
-one, so its realizations differ from those earlier versions gave, and it
-pays for the full draw even when run alone.
+Every variant reads this one block, whether or not it uses the link
+channels, so all see the same regressors, observation noise and raw link
+noise at a run index (common random numbers). A variant is an algorithm
+with its noise phases, such as one value of a sweep. `simulate_group`
+draws the block once per run and iteration, scales it once per distinct
+set of noise phases, and advances all its variants in lockstep; each
+gets exactly the records it gets alone (`simulate_runs`, a group of
+one). The phases of one pass must therefore share their start
+iterations and outlier probabilities, which fix the layout of the block.
 
 Beyond the draws, two kinds of operation fix the output bits: the
 neighborhood sums `np.add.reduceat` and the `einsum` contractions over
@@ -190,8 +189,9 @@ class _PhaseParams:
             g = getattr(spec, name)
             c[name] = g.c if 0.0 < g.c < 1.0 else 0.0
             sa2 = g.sigma_b2 if g.c == 1.0 else g.sigma_a2
-            std_a[name] = np.where(cross, np.sqrt(sa2), 0.0)
-            std_b[name] = np.where(cross, np.sqrt(g.sigma_b2), 0.0)
+            on = cross if name == "y" else cross[:, None]  # (E,) or (E, 1)
+            std_a[name] = np.where(on, np.sqrt(sa2), 0.0)
+            std_b[name] = np.where(on, np.sqrt(g.sigma_b2), 0.0)
         tls_ok = spec.x.sigma_a2 > 0
         gamma = None
         if tls_ok:
@@ -224,16 +224,17 @@ class _Drawer:
         self.n_normals = n * L + n + sum(
             math.prod(shape) for _, shape in self.channels)
 
-    def draw(self, rngs, phase, read=("x", "y", "phi")):
-        """One iteration's draws. Channels not in `read` are drawn, so
-        the stream advances, but not scaled; they come back as None."""
+    def draw(self, rngs, phases):
+        """One iteration's draws, scaled once per phase in phases: one
+        DrawBlock each. The phases share their outlier probabilities, so
+        they read one layout of normals and uniforms."""
         R = len(rngs)
-        n, L = self.n, self.L
+        n, L, c = self.n, self.L, phases[0].c
         normals = np.empty((R, self.n_normals))
         for r, rng in enumerate(rngs):
             rng.standard_normal(out=normals[r])
         n_uniforms = sum(math.prod(shape) for name, shape in self.channels
-                         if phase.c[name] > 0)
+                         if c[name] > 0)
         if n_uniforms:
             uniforms = np.empty((R, n_uniforms))
             for r, rng in enumerate(rngs):
@@ -241,23 +242,20 @@ class _Drawer:
         x_in = normals[:, : n * L].reshape(R, n, L) * self.input_std
         v_obs = normals[:, n * L : n * L + n] * self.obs_std
 
-        noise = {"x": None, "y": None, "phi": None}
+        raw = []   # per channel: name, normals, uniforms or None
         p, q = n * L + n, 0
         for name, shape in self.channels:
             size = math.prod(shape)
-            raw = normals[:, p : p + size].reshape((R,) + shape)
+            z = normals[:, p : p + size].reshape((R,) + shape)
             p += size
             u = None
-            if phase.c[name] > 0:
+            if c[name] > 0:
                 u = uniforms[:, q : q + size].reshape((R,) + shape)
                 q += size
-            if name not in read:
-                continue
-            sa, sb = phase.std_a[name], phase.std_b[name]
-            if len(shape) == 2:
-                sa, sb = sa[:, None], sb[:, None]
-            noise[name] = mixture_draws(raw, u, phase.c[name], sa, sb)
-        return DrawBlock(x_in, v_obs, noise["x"], noise["y"], noise["phi"])
+            raw.append((name, z, u))
+        return [DrawBlock(x_in, v_obs, *(
+            mixture_draws(z, u, ph.c[name], ph.std_a[name], ph.std_b[name])
+            for name, z, u in raw)) for ph in phases]
 
 
 @dataclass
@@ -269,10 +267,6 @@ class SimResult:
     sq_node: np.ndarray = None  # (R, iterations, N) if requested
     beta_sum_err: float = 0.0   # max over iterations of |sum_l beta_lk - 1|
     final_w: np.ndarray = None  # (R, N, L) weights after the last iteration
-
-
-def _phase_for(phases, i):
-    return [p for p in phases if p.start <= i][-1]
 
 
 class _Variant:
@@ -379,51 +373,62 @@ class _Variant:
 
 
 def simulate_group(problem, algos, run_indices, iterations,
-                   record_per_node=False, track_beta=False):
-    """Simulate a batch of realizations of any mix of algorithms.
+                   record_per_node=False, track_beta=False, noise_phases=None):
+    """Simulate a batch of realizations of any mix of variants.
 
-    They advance in lockstep on one draw per run and iteration (see the
-    randomness contract), and each keeps its own state and records.
-    Returns one SimResult per algorithm, in order.
+    noise_phases gives each algorithm its own tuple laid out like
+    problem.noise_phases (default: the problem's). The variants advance
+    in lockstep on one draw (see the randomness contract), so a phase
+    whose start or outlier probabilities differ from the problem's is
+    refused with InvalidArgumentError. Each variant keeps its own state
+    and records. Returns one SimResult per algorithm, in order.
 
     Weight vectors start at zero. A run is marked diverged at the first
     iteration where any node norm exceeds 1e6 or goes non-finite; its
     state freezes at the last good iterate and its record is carried
-    forward unchanged. A diverged run freezes only its own algorithm.
+    forward unchanged. A diverged run freezes only its own variant.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     if not algos:
         raise InvalidArgumentError("a group needs at least one algorithm")
-    share_data = any(a.share_data for a in algos)
-    read = ((("x", "y") if share_data else ())
-            + (("phi",) if any(a.shares_phi for a in algos) else ()))
+    noise_phases = noise_phases or [problem.noise_phases] * len(algos)
     ls = problem.links
     R = len(run_indices)
-    h = problem.h
 
-    phases = [
-        _PhaseParams.build(start, spec, ls, problem.obs_std() ** 2)
-        for start, spec in problem.noise_phases
-    ]
-    drawer = _Drawer(problem)
-    rngs = [problem.run_rng(r) for r in run_indices]
+    # each distinct set of noise phases, the problem's first, maps to
+    # its _PhaseParams and the variants that read it
+    obs_var = problem.obs_std() ** 2
+    groups = {phases: ([_PhaseParams.build(s, spec, ls, obs_var)
+                        for s, spec in phases], [])
+              for phases in dict.fromkeys((problem.noise_phases,
+                                           *noise_phases))}
+    layouts = [[(p.start, p.c) for p in ps] for ps, _ in groups.values()]
+    if any(layout != layouts[0] for layout in layouts):
+        raise InvalidArgumentError(
+            "the noise phases of one pass must share their start "
+            "iterations and outlier probabilities")
     variants = [_Variant(problem, a, R, iterations, record_per_node,
                          track_beta) for a in algos]
-    schedule = [_phase_for(phases, i) for i in range(iterations)]
+    for v, phases in zip(variants, noise_phases, strict=True):
+        groups[phases][1].append(v)
+    groups = [g for g in groups.values() if g[1]]
+    drawer = _Drawer(problem)
+    rngs = [problem.run_rng(r) for r in run_indices]
+    schedule = [[k for k, (s, _) in enumerate(layouts[0]) if s <= i][-1]
+                for i in range(iterations)]
     csrc, cross = ls.src[ls.cross_idx], ls.cross_idx
-    Xs = ys = None
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, ph in enumerate(schedule):
-            d = drawer.draw(rngs, ph, read)
-            X = d.x_in
-            y = np.einsum("rnl,l->rn", X, h) + d.v_obs
-            if share_data:
+        for i, k in enumerate(schedule):
+            blocks = drawer.draw(rngs, [phases[k] for phases, _ in groups])
+            X = blocks[0].x_in
+            y = np.einsum("rnl,l->rn", X, problem.h) + blocks[0].v_obs
+            for d, (phases, members) in zip(blocks, groups):
                 Xs = X.take(csrc, axis=1) + d.nx.take(cross, axis=1)
                 ys = y.take(csrc, axis=1) + d.ny.take(cross, axis=1)
-            for v in variants:
-                v.step(i, ph, d, X, y, Xs, ys)
+                for v in members:
+                    v.step(i, phases[k], d, X, y, Xs, ys)
 
     return [v.result() for v in variants]
 

@@ -16,10 +16,10 @@ from dataclasses import replace
 from difflab.config import parse_config
 from difflab.engine import AlgorithmSpec, gdtls_gradient, mtc_gradient
 from difflab.harness import (
-    _substitute,
     convergence_iteration,
     monte_carlo_msd,
     steady_state_estimate,
+    sweep,
     theory_inputs,
     theory_vs_simulation,
 )
@@ -281,9 +281,8 @@ def test_criterion_7_qualitative_orderings():
     sweep_cfg = preset("fig3.cfg")
     values = [0.05, 0.2, 1.0, 5.0, 25.0]
     steady, conv = {}, {}
-    for v in values:
-        sub = _substitute(sweep_cfg, "zeta2", v)
-        curve = monte_carlo_msd(sub, n_jobs=2)["ac-dmtc"]
+    for v, curves in sweep(sweep_cfg, "zeta2", values, n_jobs=2):
+        curve = curves["ac-dmtc"]
         steady[v] = window_db(curve, 3600, 4000)
         from difflab.harness import LearningCurve
         gauss_part = LearningCurve("g", curve.msd_linear[:2000],
@@ -313,7 +312,7 @@ def test_criterion_8_reductions():
 
     # identity weights for adaptation and combination: the diffusion
     # update must reduce exactly to independent per-node LMS filters
-    from difflab.simulate import _Drawer, _PhaseParams, _phase_for
+    from difflab.simulate import _Drawer, _PhaseParams
     n = problem.n_nodes
     id_problem = replace(problem, weights=np.eye(n))
     res = simulate_runs(id_problem, dlms, runs, iters)
@@ -329,7 +328,7 @@ def test_criterion_8_reductions():
     W = [np.zeros((len(runs), len(h))) for _ in range(n)]
     manual = np.empty((len(runs), iters))
     for i in range(iters):
-        d = drawer.draw(rngs, _phase_for(phases, i))
+        d, = drawer.draw(rngs, [[p for p in phases if p.start <= i][-1]])
         X = d.x_in
         y = np.einsum("rnl,l->rn", X, h) + d.v_obs
         sq = np.empty((len(runs), n))

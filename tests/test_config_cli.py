@@ -521,40 +521,76 @@ def test_cli_sweep_section_takes_overrides(tmp_path, capsys):
     assert "sweep.bogus" in capsys.readouterr().err
 
 
-# floats as YAML scalars (.nan, .inf, 1.0e+300), as --set reads them
+def _yaml_scalar(value):
+    """A float as a YAML scalar (.nan, .inf, 1.0e+300), as --set reads it."""
+    return yaml.safe_dump(value).partition("\n")[0]
+
+
+def _yaml_list(values):
+    return "[" + ",".join(values) + "]"
+
+
+# Any float at all, and floats that most keys take: in [0, 1], or an
+# extreme that the simulator must survive.
 _ANY_FLOAT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(0.0, 2.0),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324,
                      1e-300, 1e300]),
-).map(lambda v: yaml.safe_dump(v).partition("\n")[0])
-_THEORY_OVERRIDES = st.one_of(
-    st.tuples(st.sampled_from([f"noise.{ch}.{key}" for ch in ("x", "y", "phi")
-                               for key in ("c", "sigma_a2", "sigma_b2")]),
-              _ANY_FLOAT),
-    st.tuples(st.just("algorithms.0.estimator"),
-              st.sampled_from(["lms", "mcc", "mtc", "gdtls", "bogus"])),
-    st.tuples(st.sampled_from(["algorithms.0.share_data",
-                               "algorithms.0.share_weights",
-                               "algorithms.0.adaptive_combination"]),
-              st.sampled_from(["true", "false", '"false"', "[0]", "0", "1",
-                               "null"])),
-    st.tuples(st.sampled_from(["algorithms.0.step_size", "algorithms.0.zeta2",
-                               "algorithms.0.chi", "algorithms.0.epsilon",
-                               "signal.input_variance",
-                               "signal.observation_variance"]),
-              _ANY_FLOAT),
-    st.tuples(st.just("signal.h"), st.lists(_ANY_FLOAT, max_size=3).map(
-        lambda values: "[" + ",".join(values) + "]")),
-    st.tuples(st.sampled_from(["simulation.runs", "graph.nodes", "graph.seed",
-                               "algorithms.0.zeta2.switch_iteration"]),
-              st.sampled_from(["2.5", "10.9", "true", '"10"', "-1", "12.0",
-                               "[10]"])),
-)
+).map(_yaml_scalar)
+_TAKEN_FLOAT = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 2.0, 5e-324, 1e-300, 1e300]),
+).map(_yaml_scalar)
+_PHASE_KEYS = [f"noise.{ch}.{key}" for ch in ("x", "y", "phi")
+               for key in ("c", "sigma_a2", "sigma_b2")]
+_AFTER_KEYS = [key.replace("noise.", "noise.after.") for key in _PHASE_KEYS]
+_FLAG_KEYS = ["algorithms.0.share_data", "algorithms.0.share_weights",
+              "algorithms.0.adaptive_combination"]
+_REAL_KEYS = ["algorithms.0.step_size", "algorithms.0.zeta2",
+              "algorithms.0.chi", "algorithms.0.epsilon",
+              "signal.input_variance", "signal.observation_variance"]
+_INTEGER_KEYS = ["simulation.runs", "graph.nodes", "graph.seed",
+                 "algorithms.0.zeta2.switch_iteration"]
+
+
+def _overrides(noise_keys, floats, estimators, flags, integers, h_min):
+    """(key, YAML value) pairs, one branch per kind of key."""
+    return st.one_of(
+        st.tuples(st.sampled_from(noise_keys), floats),
+        st.tuples(st.just("algorithms.0.estimator"),
+                  st.sampled_from(estimators)),
+        st.tuples(st.sampled_from(_FLAG_KEYS), st.sampled_from(flags)),
+        st.tuples(st.sampled_from(_REAL_KEYS), floats),
+        st.tuples(st.just("signal.h"), st.lists(
+            floats, min_size=h_min, max_size=3).map(_yaml_list)),
+        st.tuples(st.sampled_from(_INTEGER_KEYS), st.sampled_from(integers)),
+    )
+
+
+# Every override the property tests can make, bad casts (exit 2) among
+# them: non-finite floats, quoted or numeric booleans, an unknown
+# estimator, non-integral integers, an empty h, a missing noise phase.
+_ANY_OVERRIDE = _overrides(
+    _PHASE_KEYS + _AFTER_KEYS, _ANY_FLOAT,
+    ["lms", "mcc", "mtc", "gdtls", "bogus"],
+    ["true", "false", '"false"', "[0]", "0", "1", "null"],
+    ["2.5", "10.9", "true", '"10"', "-1", "12.0", "[10]"], 0)
+
+
+def _preset_overrides(noise_keys):
+    """Lists of overrides for a preset with these noise keys. One
+    override in ten comes from _ANY_OVERRIDE; the rest take values that
+    the casts accept and that are mostly in range, so that most examples
+    get past parsing and reach the simulator."""
+    taken = _overrides(noise_keys, _TAKEN_FLOAT, ["lms", "gdtls"],
+                       ["true", "false", "null"], ["12", "12.0"], 1)
+    return st.lists(st.integers(0, 9).flatmap(
+        lambda k: _ANY_OVERRIDE if k == 0 else taken), max_size=6)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_THEORY_OVERRIDES, max_size=6))
+@given(_preset_overrides(_PHASE_KEYS))
 def test_cli_theory_random_overrides_exit_cleanly(overrides):
     # whatever the overrides, theory either reports or refuses with a
     # documented exit code; no exception escapes
@@ -568,32 +604,43 @@ def test_cli_theory_random_overrides_exit_cleanly(overrides):
                     cli.EXIT_NUMERICAL, cli.EXIT_INSTABILITY)
 
 
-_RUN_OVERRIDES = st.one_of(
-    _THEORY_OVERRIDES,
-    st.tuples(st.sampled_from([f"noise.after.{ch}.{key}"
-                               for ch in ("x", "y", "phi")
-                               for key in ("c", "sigma_a2", "sigma_b2")]),
-              _ANY_FLOAT),
-)
+_RUN_OVERRIDES = {"compare.cfg": _preset_overrides(_PHASE_KEYS)}
+for _name in ("fig1.cfg", "fig3.cfg", "fig2a.cfg"):
+    _RUN_OVERRIDES[_name] = _preset_overrides(_PHASE_KEYS + _AFTER_KEYS)
+# swept values: valid ones with 0 and repeats, or any float at all
+_SWEPT = ["sigma_a2", "sigma_b2", "zeta2"]
+_SWEEP_VALUES = st.one_of(
+    st.lists(st.sampled_from(["0", "0.01", "0.04", "0.2", "1", "25"]),
+             min_size=1, max_size=4),
+    st.lists(st.one_of(_ANY_FLOAT, st.sampled_from(["0", "-1", ".nan"])),
+             min_size=1, max_size=4),
+).map(_yaml_list)
 
 
-@pytest.mark.parametrize("preset", ["compare.cfg", "fig1.cfg"])
+@pytest.mark.parametrize("preset", ["compare.cfg", "fig1.cfg", "fig3.cfg",
+                                    "fig2a.cfg"])
 @settings(max_examples=100, deadline=None)
-@given(overrides=st.lists(_RUN_OVERRIDES, max_size=6),
-       runs=st.integers(1, 4), iterations=st.integers(1, 30),
+@given(data=st.data(), runs=st.integers(1, 4), iterations=st.integers(1, 30),
        switch=st.integers(0, 30))
-def test_cli_run_random_overrides_exit_cleanly(preset, overrides, runs,
+def test_cli_run_random_overrides_exit_cleanly(preset, data, runs,
                                                iterations, switch):
-    # the same inputs through the simulator: run either writes its curves
-    # or refuses with a documented exit code. The size is set last, so it
-    # wins; fig1's mixture phase starts inside the run.
+    # the same inputs through the simulator: run (sweep on the presets
+    # with a sweep section, over a random parameter and values) either
+    # writes its output or refuses with a documented exit code. The size
+    # is set last, so it wins; the mixture phase starts inside the run.
+    command = "sweep" if preset in ("fig3.cfg", "fig2a.cfg") else "run"
     sets = ([f"noise.after.switch_iteration={switch}"]
-            if preset == "fig1.cfg" else [])
-    sets += [f"{key}={value}" for key, value in overrides]
+            if preset != "compare.cfg" else [])
+    sets += [f"{key}={value}"
+             for key, value in data.draw(_RUN_OVERRIDES[preset])]
+    if command == "sweep":
+        sets += [f"sweep.parameter={data.draw(st.sampled_from(_SWEPT))}",
+                 f"sweep.values={data.draw(_SWEEP_VALUES)}"]
     sets += [f"simulation.runs={runs}", f"simulation.iterations={iterations}"]
     with tempfile.TemporaryDirectory() as out:
-        code = cli.main(["run", "--config", os.path.join(PRESET_DIR, preset),
-                         "--out", out, "--jobs", "1",
+        code = cli.main([command, "--config",
+                         os.path.join(PRESET_DIR, preset), "--out", out,
+                         "--jobs", "1",
                          *(arg for s in sets for arg in ("--set", s))])
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
                     cli.EXIT_NUMERICAL, cli.EXIT_INSTABILITY)

@@ -14,6 +14,12 @@ A third test pins the bytes of `difflab theory`'s `theory_report.txt`
 on compare.cfg at N=10 and N=100 and on fig1.cfg, so the closed form's
 inputs, gate and formatting are held bit for bit too.
 
+A fourth pins the bytes of `difflab sweep`'s `sweep_<param>.csv` on the
+four sweep presets at 17 runs x 300 iterations (mixture phase from 150),
+in one process and on two workers (17 runs make two tasks), so that the
+swept values, their noise phases and the reduction to steady dB are held
+bit for bit whatever the task split.
+
 The digests hold the simulator to the randomness contract bit for bit:
 a refactor that reorders a floating-point expression fails here even
 when every tolerance-based test still passes. They were computed with
@@ -124,6 +130,18 @@ THEORY_DIGESTS = {
         "b0143a1cb8b3a3fc197ffb8f7be08864c625dbb3e3b709078586275c8d7b4319",
 }
 
+# sha256 of sweep_<param>.csv per sweep preset, at any --jobs
+SWEEP_DIGESTS = {
+    "fig2a.cfg":
+        "b8e12485d028d09aa02a075f797fc5541aeb922f531e2021d1419369937048b6",
+    "fig2b.cfg":
+        "3eeb2a7aa45fd0678c973fd9bb652b183d172cae2858f98c3c45d8e75f57a936",
+    "fig2c.cfg":
+        "ce602bbe2a1911e01196998672941c2869de4b2e21215e056b6f86e2b4c5bc09",
+    "fig3.cfg":
+        "e8fc04e3dbc3341a50b31d0802ad48bed40b00a72d6ebfbb9b5d428d1d465735",
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _problem_and_algos(case):
@@ -170,3 +188,15 @@ def test_golden_theory_report(key, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     report = (tmp_path / "theory_report.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == THEORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_golden_sweep_csv(name, jobs, tmp_path, capsys):
+    argv = ["sweep", "--config", os.path.join(PRESET_DIR, name),
+            "--out", str(tmp_path), "--runs", "17", "--jobs", jobs,
+            "--set", "simulation.iterations=300",
+            "--set", "noise.after.switch_iteration=150"]
+    assert cli.main(argv) == cli.EXIT_OK
+    (csv,) = tmp_path.glob("sweep_*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SWEEP_DIGESTS[name]

@@ -25,7 +25,7 @@ from difflab.harness import (
     worker_count,
 )
 from difflab.noise import GmmSpec, LinkNoiseSpec
-from difflab.simulate import NetworkProblem, simulate_runs
+from difflab.simulate import NetworkProblem, _Drawer, simulate_runs
 
 H = (0.4, 0.7, -0.3, 0.5)
 GAUSS = GmmSpec(0.0, 0.04, 0.0)
@@ -108,8 +108,8 @@ class InProcessPool:
     def __exit__(self, *exc):
         self.closed = True
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_one_pool_per_call_capped_at_task_count(monkeypatch):
@@ -286,14 +286,125 @@ def test_substitute_zeta2_coscales_step_size():
 def test_sweep_rows_sorted_and_complete():
     cfg = make_config(runs=4, iterations=30)
     rows = sweep(cfg, "sigma_a2", [0.16, 0.01], n_jobs=1)
-    assert [r.value for r in rows] == [0.01, 0.16]
-    for r in rows:
-        assert set(r.steady_db) == {"dlms"}
-        assert r.diverged["dlms"] == 0
+    assert [v for v, _ in rows] == [0.01, 0.16]
+    for _, curves in rows:
+        assert set(curves) == {"dlms"}
+        assert curves["dlms"].diverged_runs == 0
     # more link noise hurts the data-sharing algorithm
-    assert rows[1].steady_db["dlms"] > rows[0].steady_db["dlms"]
+    steady = [steady_state_estimate(c["dlms"]) for _, c in rows]
+    assert steady[1] > steady[0]
     with pytest.raises(InvalidArgumentError):
         sweep(cfg, "sigma_a2", [], n_jobs=1)
+
+
+def test_sweep_equals_one_config_per_value():
+    # 0 and a repeated value among the swept ones, on two workers: each
+    # value's curves are those of its own config, bit for bit. At 0 the
+    # input channel is noiseless for that value only, so mtc falls back
+    # to LMS there and equals its LMS twin, and nowhere else
+    mtc = AlgorithmSpec("mtc", estimator="mtc", step_size=0.045,
+                        zeta2=KernelSchedule(1e4, 0.2, 8))
+    twin = replace(mtc, name="twin", estimator="lms")
+    cfg = make_config(algorithms=(mtc, twin), runs=20, iterations=40,
+                      noise_after=LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED),
+                      switch=20)
+    rows = sweep(cfg, "sigma_a2", [0.04, 0.0, 0.01, 0.04], n_jobs=2)
+    assert [v for v, _ in rows] == [0.0, 0.01, 0.04, 0.04]
+    for v, curves in rows:
+        alone = monte_carlo_msd(_substitute(cfg, "sigma_a2", v), n_jobs=1)
+        assert list(curves) == ["mtc", "twin"]
+        for name, curve in curves.items():
+            assert curve.msd_linear.tobytes() == \
+                alone[name].msd_linear.tobytes()
+            assert (curve.runs_used, curve.diverged_runs) == \
+                (alone[name].runs_used, alone[name].diverged_runs)
+        same = (curves["mtc"].msd_linear.tobytes()
+                == curves["twin"].msd_linear.tobytes())
+        assert same == (v == 0.0)
+
+
+@pytest.mark.parametrize("preset, n_sets", [("fig2a.cfg", 5),
+                                            ("fig3.cfg", 1)])
+def test_sweep_draws_once_per_run_and_iteration(monkeypatch, preset,
+                                                n_sets):
+    # one pass for the whole sweep: each run's stream is opened once, the
+    # problem is built once, and each iteration draws once and scales the
+    # draw once per swept noise set (a zeta2 sweep has one)
+    opened, built, scaled = [], [], []
+    run_rng, draw = NetworkProblem.run_rng, _Drawer.draw
+    build_problem = ExperimentConfig.build_problem
+
+    def counting_rng(self, run_index):
+        opened.append(run_index)
+        return run_rng(self, run_index)
+
+    def counting_draw(self, rngs, phases):
+        scaled.append(len(phases))
+        return draw(self, rngs, phases)
+
+    def counting_build(self):
+        built.append(self)
+        return build_problem(self)
+    monkeypatch.setattr(NetworkProblem, "run_rng", counting_rng)
+    monkeypatch.setattr(_Drawer, "draw", counting_draw)
+    monkeypatch.setattr(ExperimentConfig, "build_problem", counting_build)
+    path = os.path.join(os.path.dirname(__file__), "..", "presets", preset)
+    cfg = parse_config(path, (("simulation.runs", 3),
+                              ("simulation.iterations", 5)))
+    param, values = cfg.sweep
+    rows = sweep(cfg, param, values, n_jobs=1)
+    assert [v for v, _ in rows] == sorted(values)
+    assert sorted(opened) == [0, 1, 2]
+    assert len(built) == 1
+    assert scaled == [n_sets] * 5
+
+
+def test_sweep_all_diverged_names_first_value_then_algorithm():
+    # the zeta2 sweep co-scales each step size; "fast" diverges on every
+    # run from 100 up and "slow" from 1000: the error names the first
+    # swept value in sorted order, then the first algorithm in config order
+    kernel = KernelSchedule(1.0, 1.0, 0)
+    cfg = make_config(runs=4, iterations=60, algorithms=(
+        AlgorithmSpec("slow", step_size=0.01, zeta2=kernel),
+        AlgorithmSpec("fast", step_size=0.1, zeta2=kernel)))
+    with pytest.raises(EmptyEnsembleError, match="'fast'"):
+        sweep(cfg, "zeta2", [1000.0, 1.0, 100.0], n_jobs=1)
+    with pytest.raises(EmptyEnsembleError, match="'slow'"):
+        sweep(cfg, "zeta2", [2000.0, 1000.0], n_jobs=1)
+
+
+def test_tasks_in_whole_rounds_of_workers(monkeypatch):
+    # fig2a's sweep has 35 variants: 896 run-variants a task is 25 runs,
+    # so its 50 runs are one task per worker, and 60 runs take 4 tasks,
+    # two for each of 2 workers, not 3. fig1's seven algorithms keep
+    # 2 x 64 runs, and one algorithm 2 x 32
+    made, ranges = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: InProcessPool(made, max_workers))
+    simulate_group = harness.simulate_group
+
+    def recording(problem, algos, run_indices, *args, **kw):
+        ranges.append(len(run_indices))
+        return simulate_group(problem, algos, run_indices, *args, **kw)
+    monkeypatch.setattr(harness, "simulate_group", recording)
+    presets = os.path.join(os.path.dirname(__file__), "..", "presets")
+    for runs, split in ((50, [25, 25]), (60, [15, 15, 15, 15])):
+        ranges.clear()
+        fig2a = parse_config(os.path.join(presets, "fig2a.cfg"),
+                             (("simulation.iterations", 2),
+                              ("simulation.runs", runs)))
+        sweep(fig2a, *fig2a.sweep, n_jobs=2)
+        assert ranges == split
+    assert harness.MAX_TASK_RUNS == 896
+    for name, runs, split in (("fig1.cfg", 128, [64, 64]),
+                              ("compare.cfg", 64, [32, 32])):
+        ranges.clear()
+        cfg = parse_config(os.path.join(presets, name),
+                           (("simulation.iterations", 2),
+                            ("simulation.runs", runs)))
+        monte_carlo_msd(cfg, n_jobs=2)
+        assert ranges == split
+    assert [p.max_workers for p in made] == [2] * 4
 
 
 def test_theory_inputs_shapes_and_gammas():

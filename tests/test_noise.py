@@ -59,7 +59,7 @@ def test_drawer_self_links_noiseless():
     ls = problem.links
     phase = _PhaseParams.build(0, spec, ls, problem.obs_std() ** 2)
     rngs = [problem.run_rng(r) for r in range(4)]
-    d = _Drawer(problem).draw(rngs, phase)
+    d, = _Drawer(problem).draw(rngs, [phase])
     for noise in (d.nx, d.ny, d.nphi):
         assert (noise[:, ls.self_idx] == 0.0).all()
         assert (noise[:, ls.cross_idx] != 0.0).all()

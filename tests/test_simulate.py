@@ -1,5 +1,6 @@
 import glob
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from difflab.simulate import (
     _Drawer,
     _PhaseParams,
     _Variant,
-    _phase_for,
     simulate_group,
     simulate_runs,
 )
@@ -71,7 +71,8 @@ def reference_sq_net(problem, algo, run_index, iterations):
     states = initial_states(problem)
     out = np.empty(iterations)
     for i in range(iterations):
-        d = drawer.draw(rngs, _phase_for(phases, i))
+        phase = [p for p in phases if p.start <= i][-1]
+        d, = drawer.draw(rngs, [phase])
         states = node_iteration(problem, algo, states, i, d)
         out[i] = sum(float((s.w - problem.h) @ (s.w - problem.h))
                      for s in states)
@@ -223,9 +224,11 @@ def test_every_algorithm_reads_one_draw(monkeypatch):
     drawn, seen = [], []
     draw, step = _Drawer.draw, _Variant.step
 
-    def spy_draw(self, rngs, phase, read=("x", "y", "phi")):
-        drawn.append(draw(self, rngs, phase, read))
-        return drawn[-1]
+    def spy_draw(self, rngs, phases):
+        blocks = draw(self, rngs, phases)
+        assert len(blocks) == 1
+        drawn.append(blocks[0])
+        return blocks
 
     def spy_step(self, i, ph, d, *args):
         seen.append((i, d))
@@ -262,3 +265,46 @@ def test_diverged_variant_freezes_nobody_else():
                                                  record_per_node=True))
     assert_same_result(res_bad, simulate_runs(problem, bad, [0, 1], 60,
                                               record_per_node=True))
+
+
+def noise_set(sigma_a2, switch=12, c=0.05):
+    """make_problem's noise phases at another base variance."""
+    gauss, mixed = GmmSpec(0.0, sigma_a2, 0.0), GmmSpec(c, sigma_a2, 10.0)
+    return ((0, LinkNoiseSpec(gauss, gauss, gauss)),
+            (switch, LinkNoiseSpec(mixed, mixed, mixed)))
+
+
+def test_group_keeps_input_order_across_noise_sets():
+    # variants on three noise sets, interleaved, so that grouping them by
+    # set reorders them: each result is still the one its algorithm gets
+    # alone on a problem with its noise phases, returned in input order
+    problem = make_problem()
+    assert noise_set(0.04) == problem.noise_phases
+    algos = [VARIANTS[1], VARIANTS[6], VARIANTS[0], VARIANTS[5], VARIANTS[7]]
+    sets = [noise_set(0.01), noise_set(0.0), noise_set(0.01),
+            problem.noise_phases, noise_set(0.0)]
+    results = simulate_group(problem, algos, [0, 2], 40, noise_phases=sets)
+    assert len(results) == len(algos)
+    for algo, phases, res in zip(algos, sets, results):
+        alone = replace(problem, noise_phases=phases)
+        assert_same_result(res, simulate_runs(alone, algo, [0, 2], 40))
+    # sigma_a2 = 0 turns tls_ok off for its own set only: ac-dmtc there
+    # runs LMS on its cross links, and so does a twin with that estimator
+    lms_twin = replace(VARIANTS[6], estimator="lms")
+    zero, = simulate_group(problem, [lms_twin], [0, 2], 40,
+                           noise_phases=[noise_set(0.0)])
+    assert_same_result(results[1], zero)
+
+
+@pytest.mark.parametrize("phases", [noise_set(0.04, switch=13),
+                                    noise_set(0.04, c=0.02),
+                                    noise_set(0.04, c=0.0)],
+                         ids=["start", "c", "gaussian"])
+def test_group_refuses_phases_that_read_other_draws(phases):
+    problem = make_problem()
+    with pytest.raises(InvalidArgumentError, match="outlier probabilit"):
+        simulate_group(problem, [VARIANTS[1]] * 2, [0], 20,
+                       noise_phases=[problem.noise_phases, phases])
+    with pytest.raises(InvalidArgumentError, match="outlier probabilit"):
+        simulate_group(problem, [VARIANTS[1]], [0], 20,
+                       noise_phases=[phases])

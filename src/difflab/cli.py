@@ -7,9 +7,13 @@ Subcommands:
     compare   theory vs Monte Carlo steady state for one algorithm
     validate  parse and validate the config, graph and matrices only
 
-All outputs are written atomically: a failed command leaves no partial
-files behind. Exit codes: 0 success, 2 config parse error, 3 validation
-error, 4 numerical failure, 5 instability.
+Each command returns its report lines and {file name: text}; `main`
+creates --out before the command runs, writes each file atomically,
+then prints the lines and one `wrote <path>` line per file. So a command
+that fails writes no file, and a write that fails leaves no partial
+file. Exit codes: 0 success, 2 config parse error, 3 validation error
+(an --out that cannot be created or written too), 4 numerical failure,
+5 instability.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ EXIT_INSTABILITY = 5
 
 
 def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -60,6 +63,15 @@ def _write_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _output(path, write, *args, **kwargs):
+    """write(*args, **kwargs); an OSError is a validation error on path."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        raise InvalidArgumentError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value):
@@ -96,56 +108,43 @@ def _gnuplot_script(csv_name, columns, xlabel):
 def _cmd_run(config, args):
     curves = monte_carlo_msd(config, n_jobs=args.jobs)
     order = [a.name for a in config.algorithms]
-    out = os.path.join(args.out, "learning_curve.csv")
-    _write_atomic(out, _db_csv(
+    files = {"learning_curve.csv": _db_csv(
         "iteration", [f"{n}_msd_db" for n in order],
-        enumerate(zip(*(curves[n].msd_db for n in order)))))
-    written = [out]
+        enumerate(zip(*(curves[n].msd_db for n in order))))}
     if config.per_node_msd:
         for name in order:
             with np.errstate(divide="ignore"):
                 db = 10.0 * np.log10(curves[name].per_node)
-            p = os.path.join(args.out, f"{name}_per_node.csv")
-            _write_atomic(p, _db_csv(
+            files[f"{name}_per_node.csv"] = _db_csv(
                 "iteration", [f"node{k}_msd_db" for k in range(db.shape[1])],
-                enumerate(db)))
-            written.append(p)
+                enumerate(db))
     if args.gnuplot:
-        gp = os.path.join(args.out, "learning_curve.gp")
-        _write_atomic(gp, _gnuplot_script(
-            "learning_curve.csv", order, "iteration"))
-        written.append(gp)
-    for name in order:
-        c = curves[name]
-        print(f"{name}: steady {steady_state_estimate(c):.2f} dB, "
-              f"runs {c.runs_used}, diverged {c.diverged_runs}")
-    for p in written:
-        print(f"wrote {p}")
-    return EXIT_OK
+        files["learning_curve.gp"] = _gnuplot_script(
+            "learning_curve.csv", order, "iteration")
+    lines = [f"{n}: steady {steady_state_estimate(curves[n]):.2f} dB, "
+             f"runs {curves[n].runs_used}, diverged {curves[n].diverged_runs}"
+             for n in order]
+    return lines, files
 
 
 def _cmd_sweep(config, args):
-    file_param, file_values = config.sweep or (None, None)
-    param = args.param or file_param
-    values = args.values or file_values
+    param, values = config.sweep or (None, None)
+    param, values = args.param or param, args.values or values
     if not param or not values:
         raise InvalidArgumentError(
             "sweep needs --param and --values (or a sweep section in the config)")
     order = [a.name for a in config.algorithms]
     rows = [(f"{value:g}", [steady_state_estimate(curves[n]) for n in order])
             for value, curves in sweep(config, param, values, args.jobs)]
-    out = os.path.join(args.out, f"sweep_{param}.csv")
-    _write_atomic(out, _db_csv(
-        "param_value", [f"{n}_steady_db" for n in order], rows))
+    files = {f"sweep_{param}.csv": _db_csv(
+        "param_value", [f"{n}_steady_db" for n in order], rows)}
     if args.gnuplot:
-        gp = os.path.join(args.out, f"sweep_{param}.gp")
-        _write_atomic(gp, _gnuplot_script(
-            f"sweep_{param}.csv", order, param))
-    for value, steady in rows:
-        cells = "  ".join(f"{n}={_fmt(db)}" for n, db in zip(order, steady))
-        print(f"{param}={value}  {cells}")
-    print(f"wrote {out}")
-    return EXIT_OK
+        files[f"sweep_{param}.gp"] = _gnuplot_script(
+            f"sweep_{param}.csv", order, param)
+    lines = [f"{param}={value}  " + "  ".join(
+        f"{n}={_fmt(db)}" for n, db in zip(order, steady))
+        for value, steady in rows]
+    return lines, files
 
 
 def _cmd_theory(config, args):
@@ -163,31 +162,15 @@ def _cmd_theory(config, args):
         pred = cf.prediction
         lines.append(f"{algo.name}.msd_db="
                      + ("unstable" if pred is None else _fmt(pred.msd_db)))
-    text = "\n".join(lines) + "\n"
-    out = os.path.join(args.out, "theory_report.txt")
-    _write_atomic(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return lines, {"theory_report.txt": "\n".join(lines) + "\n"}
 
 
 def _cmd_compare(config, args):
-    report = theory_vs_simulation(config, algo_name=args.algo,
-                                  n_jobs=args.jobs)
-    lines = [
-        f"algorithm={report.algorithm}",
-        f"predicted_db={_fmt(report.predicted_db)}",
-        f"simulated_db={_fmt(report.simulated_db)}",
-        f"gap_db={_fmt(report.gap_db)}",
-        f"rho={report.rho:.8g}",
-        f"diverged_runs={report.diverged_runs}",
-    ]
-    text = "\n".join(lines) + "\n"
-    out = os.path.join(args.out, "compare_report.txt")
-    _write_atomic(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    r = theory_vs_simulation(config, algo_name=args.algo, n_jobs=args.jobs)
+    lines = [f"algorithm={r.algorithm}", f"predicted_db={_fmt(r.predicted_db)}",
+             f"simulated_db={_fmt(r.simulated_db)}", f"gap_db={_fmt(r.gap_db)}",
+             f"rho={r.rho:.8g}", f"diverged_runs={r.diverged_runs}"]
+    return lines, {"compare_report.txt": "\n".join(lines) + "\n"}
 
 
 def _cmd_validate(config, args):
@@ -197,9 +180,8 @@ def _cmd_validate(config, args):
     if not report.ok:
         raise InvalidArgumentError(
             f"metropolis weights violate {report.constraint} at {report.indices}")
-    print(f"ok: {graph.n_nodes} nodes, {len(graph.edges)} edges, "
-          f"{len(config.algorithms)} algorithms")
-    return EXIT_OK
+    return [f"ok: {graph.n_nodes} nodes, {len(graph.edges)} edges, "
+            f"{len(config.algorithms)} algorithms"], {}
 
 
 def make_parser():
@@ -243,7 +225,11 @@ def main(argv=None):
         if args.per_node_msd:
             overrides.append(("simulation.per_node_msd", True))
         config = parse_config(args.config, overrides)
-        return args.fn(config, args)
+        _output(args.out, os.makedirs, args.out, exist_ok=True)
+        lines, files = args.fn(config, args)
+        paths = [os.path.join(args.out, name) for name in files]
+        for path, text in zip(paths, files.values()):
+            _output(path, _write_atomic, path, text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -256,6 +242,8 @@ def main(argv=None):
     except (NumericalFailureError, EmptyEnsembleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    print(*lines, *(f"wrote {path}" for path in paths), sep="\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -366,8 +366,7 @@ def parse_config_text(text, overrides=()):
         raise ConfigError(f"config parse error: {exc}") from exc
     if tree is None:
         raise ConfigError("config file is empty")
-    for key, value in (overrides if not isinstance(overrides, dict)
-                       else overrides.items()):
+    for key, value in overrides:
         _apply_override(tree, key, value)
     return build_config(tree)
 

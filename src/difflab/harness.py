@@ -205,17 +205,28 @@ def sweep(config, param, values, n_jobs=None):
     a list of (value, {algorithm name: LearningCurve}).
 
     Each value's algorithms, with its noise phases, are variants of one
-    pass, so the problem is built once and each run drawn once.
+    pass, so the problem is built once and each run drawn once. Equal
+    variants are simulated once and share one LearningCurve: equal
+    algorithms on equal noise phases, or on any phases for an algorithm
+    that reads no link channel.
     """
     if not values:
         raise InvalidArgumentError("sweep needs at least one value")
     subs = [_substitute(config, param, v) for v in sorted(values)]
-    algos = [a for sub in subs for a in sub.algorithms]
-    phases = [sub.noise_phases() for sub in subs for _ in sub.algorithms]
-    curves = iter(_ensemble(config, config.build_problem(), algos, phases,
-                            n_jobs))
-    return [(float(v), {a.name: next(curves) for a in config.algorithms})
-            for v in sorted(values)]
+    keys, variants, index = [], [], []
+    for sub in subs:
+        phases = sub.noise_phases()
+        for a in sub.algorithms:
+            key = (a, phases if a.share_data or a.shares_phi else None)
+            if key not in keys:
+                keys.append(key)
+                variants.append((a, phases))
+            index.append(keys.index(key))
+    curves = _ensemble(config, config.build_problem(), *zip(*variants),
+                       n_jobs=n_jobs)
+    picks = iter(index)
+    return [(float(v), {a.name: curves[next(picks)]
+                        for a in config.algorithms}) for v in sorted(values)]
 
 
 def theory_inputs(problem, algo):
@@ -318,8 +329,7 @@ class CompareReport:
     diverged_runs: int
 
 
-def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
-                         n_jobs=None):
+def theory_vs_simulation(config, algo_name=None, n_jobs=None):
     """Predicted vs simulated steady-state MSD for one algorithm (the
     first, or algo_name) that closed_form(compare=True) models."""
     algo = next((a for a in config.algorithms
@@ -329,7 +339,7 @@ def theory_vs_simulation(config, algo_name=None, tail_fraction=0.1,
     problem = config.build_problem()
     predicted = closed_form(problem, algo, compare=True).prediction
     curve, = _ensemble(config, problem, (algo,), n_jobs=n_jobs)
-    simulated_db = steady_state_estimate(curve, tail_fraction)
+    simulated_db = steady_state_estimate(curve)
     gap = (0.0 if predicted.msd_linear == 0.0 and simulated_db == -math.inf
            else predicted.msd_db - simulated_db)
     return CompareReport(

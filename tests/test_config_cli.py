@@ -1,3 +1,4 @@
+import errno
 import glob
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from difflab import cli
 from difflab.config import (
+    ExperimentConfig,
     build_config,
     config_tree,
     emit,
@@ -296,6 +298,68 @@ def test_cli_sweep(small_cfg_path, tmp_path, capsys):
     assert csv[0] == "param_value,dlms_steady_db,ac-dlms_steady_db"
     assert len(csv) == 3
     assert csv[1].startswith("0.01,")
+
+
+def test_cli_sweep_gnuplot_lists_its_script(small_cfg_path, tmp_path,
+                                            capsys):
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", small_cfg_path, "--out", str(out),
+                     "--param", "zeta2", "--values", "0.2", "--gnuplot",
+                     "--set", "iterations=10", "--runs", "1"])
+    assert code == cli.EXIT_OK
+    script = (out / "sweep_zeta2.gp").read_text()
+    assert "'sweep_zeta2.csv' using 1:2 with lines title 'dlms'" in script
+    assert "'sweep_zeta2.csv' using 1:3 with lines title 'ac-dlms'" in script
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"wrote {out / 'sweep_zeta2.csv'}", f"wrote {out / 'sweep_zeta2.gp'}"]
+
+
+# The argument lists of every writing command, on compare.cfg.
+_WRITERS = {
+    "run": ["run"],
+    "sweep": ["sweep", "--param", "sigma_a2", "--values", "0.1"],
+    "theory": ["theory"],
+    "compare": ["compare"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_cli_refuses_an_unwritable_out_before_any_work(
+        command, under, tmp_path, monkeypatch, capsys):
+    # --out is an existing file, or a path under one: exit 3 that names
+    # it, before the scenario is built or anything simulated
+    def never(*args, **kwargs):
+        raise AssertionError("work began before --out was created")
+    monkeypatch.setattr(cli, "monte_carlo_msd", never)
+    monkeypatch.setattr(ExperimentConfig, "build_problem", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    code = cli.main([*_WRITERS[command], "--config", COMPARE_CFG,
+                     "--out", str(out), "--runs", "1"])
+    assert code == cli.EXIT_VALIDATION
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["taken"]
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "theory"])
+def test_cli_failed_write_is_validation_error(command, tmp_path,
+                                              monkeypatch, capsys):
+    # the disk fills up: exit 3 that names the file, and no file or temp
+    # file is left in --out
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(tempfile, "mkstemp", full)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", COMPARE_CFG, "--out", str(out),
+                     "--runs", "1", "--set", "iterations=5", "--gnuplot"])
+    assert code == cli.EXIT_VALIDATION
+    name = "learning_curve.csv" if command == "run" else "theory_report.txt"
+    assert f"cannot write {out / name}: No space left" in \
+        capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_cli_sweep_without_spec_fails(small_cfg_path, capsys):
@@ -617,18 +681,20 @@ _SWEEP_VALUES = st.one_of(
 ).map(_yaml_list)
 
 
-@pytest.mark.parametrize("preset", ["compare.cfg", "fig1.cfg", "fig3.cfg",
-                                    "fig2a.cfg"])
+@pytest.mark.parametrize("preset, command", [
+    ("compare.cfg", "run"), ("fig1.cfg", "run"), ("fig3.cfg", "sweep"),
+    ("fig2a.cfg", "sweep"), ("compare.cfg", "compare"),
+], ids=["compare.cfg", "fig1.cfg", "fig3.cfg", "fig2a.cfg", "compare"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), runs=st.integers(1, 4), iterations=st.integers(1, 30),
        switch=st.integers(0, 30))
-def test_cli_run_random_overrides_exit_cleanly(preset, data, runs,
+def test_cli_run_random_overrides_exit_cleanly(preset, command, data, runs,
                                                iterations, switch):
-    # the same inputs through the simulator: run (sweep on the presets
-    # with a sweep section, over a random parameter and values) either
-    # writes its output or refuses with a documented exit code. The size
-    # is set last, so it wins; the mixture phase starts inside the run.
-    command = "sweep" if preset in ("fig3.cfg", "fig2a.cfg") else "run"
+    # the same inputs through the simulator: run, sweep on the presets
+    # with a sweep section (over a random parameter and values), and
+    # compare either write their output or refuse with a documented exit
+    # code. The size is set last, so it wins; the mixture phase starts
+    # inside the run.
     sets = ([f"noise.after.switch_iteration={switch}"]
             if preset != "compare.cfg" else [])
     sets += [f"{key}={value}"

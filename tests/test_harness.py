@@ -359,6 +359,45 @@ def test_sweep_draws_once_per_run_and_iteration(monkeypatch, preset,
     assert scaled == [n_sets] * 5
 
 
+def test_sweep_simulates_each_distinct_variant_once(monkeypatch):
+    # a variant is an algorithm and its noise phases, and the phases do
+    # not count for an algorithm that reads no link channel: noncoop-lms
+    # in a sigma_a2 sweep, every algorithm without a zeta2 schedule in a
+    # zeta2 sweep, every algorithm at a repeated value
+    handed = []
+    simulate_group = harness.simulate_group
+
+    def counting(problem, algos, *args, **kw):
+        handed.append(len(algos))
+        return simulate_group(problem, algos, *args, **kw)
+    monkeypatch.setattr(harness, "simulate_group", counting)
+    presets = os.path.join(os.path.dirname(__file__), "..", "presets")
+    small = (("simulation.runs", 2), ("simulation.iterations", 5))
+    fig1 = parse_config(os.path.join(presets, "fig1.cfg"), small)
+    fig2a = parse_config(os.path.join(presets, "fig2a.cfg"), small)
+    fig3 = parse_config(os.path.join(presets, "fig3.cfg"), small)
+    for cfg, param, values, simulated in (
+            (fig1, "zeta2", [0.05, 0.2, 1.0], 5 + 2 * 3),
+            (fig2a, "sigma_a2", fig2a.sweep[1], 1 + 6 * 5),
+            (fig3, "zeta2", [0.2, 0.2], 1)):
+        handed.clear()
+        sweep(cfg, param, values, n_jobs=1)
+        assert handed == [simulated]
+    # the shared curves are those of one config per value, bit for bit
+    noncoop = AlgorithmSpec("noncoop", share_data=False, share_weights=False,
+                            step_size=0.1)
+    dlms = AlgorithmSpec("dlms", step_size=0.1)
+    cfg = make_config(algorithms=(noncoop, dlms), runs=4, iterations=30)
+    handed.clear()
+    rows = sweep(cfg, "sigma_a2", [0.16, 0.01, 0.16], n_jobs=1)
+    assert handed == [1 + 2]
+    for v, curves in rows:
+        alone = monte_carlo_msd(_substitute(cfg, "sigma_a2", v), n_jobs=1)
+        for name, curve in curves.items():
+            assert curve.msd_linear.tobytes() == \
+                alone[name].msd_linear.tobytes()
+
+
 def test_sweep_all_diverged_names_first_value_then_algorithm():
     # the zeta2 sweep co-scales each step size; "fast" diverges on every
     # run from 100 up and "slow" from 1000: the error names the first
@@ -374,10 +413,10 @@ def test_sweep_all_diverged_names_first_value_then_algorithm():
 
 
 def test_tasks_in_whole_rounds_of_workers(monkeypatch):
-    # fig2a's sweep has 35 variants: 896 run-variants a task is 25 runs,
-    # so its 50 runs are one task per worker, and 60 runs take 4 tasks,
-    # two for each of 2 workers, not 3. fig1's seven algorithms keep
-    # 2 x 64 runs, and one algorithm 2 x 32
+    # fig2a's sweep simulates 31 distinct variants: 896 run-variants a
+    # task is 28 runs, so its 50 runs are one task per worker (2 x 25),
+    # and 60 runs take 4 tasks, two for each of 2 workers, not 3. fig1's
+    # seven algorithms keep 2 x 64 runs, and one algorithm 2 x 32
     made, ranges = [], []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(made, max_workers))

@@ -8,10 +8,10 @@ Subcommands:
     validate  parse and validate the config, graph and matrices only
 
 Each command returns its report lines and {file name: text}; `main`
-creates --out before the command runs, writes each file atomically,
+creates --out before the command runs, writes the files as one set,
 then prints the lines and one `wrote <path>` line per file. So a command
-that fails writes no file, and a write that fails leaves no partial
-file. Exit codes: 0 success, 2 config parse error, 3 validation error
+that fails writes no file, and a write that fails leaves --out as it
+was. Exit codes: 0 success, 2 config parse error, 3 validation error
 (an --out that cannot be created or written too), 4 numerical failure,
 5 instability.
 """
@@ -19,6 +19,7 @@ file. Exit codes: 0 success, 2 config parse error, 3 validation error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -52,26 +53,36 @@ EXIT_NUMERICAL = 4
 EXIT_INSTABILITY = 5
 
 
-def _write_atomic(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+@contextlib.contextmanager
+def _output(path):
+    """An OSError in the block is a validation error on path."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _output(path, write, *args, **kwargs):
-    """write(*args, **kwargs); an OSError is a validation error on path."""
-    try:
-        write(*args, **kwargs)
+        yield
     except OSError as exc:
         raise InvalidArgumentError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_all(files):
+    """Write {path: text} as one set: every text to a temp file beside its
+    path first, then each temp file renamed into place. A failure before
+    the renames leaves every path as it was; no temp file is left."""
+    tmps = []
+    try:
+        for path, text in files.items():
+            with _output(path):
+                fd, tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+                tmps.append(tmp)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        for path, tmp in zip(files, tmps):
+            with _output(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _fmt(value):
@@ -225,11 +236,12 @@ def main(argv=None):
         if args.per_node_msd:
             overrides.append(("simulation.per_node_msd", True))
         config = parse_config(args.config, overrides)
-        _output(args.out, os.makedirs, args.out, exist_ok=True)
+        with _output(args.out):
+            os.makedirs(args.out, exist_ok=True)
         lines, files = args.fn(config, args)
-        paths = [os.path.join(args.out, name) for name in files]
-        for path, text in zip(paths, files.values()):
-            _output(path, _write_atomic, path, text)
+        files = {os.path.join(args.out, name): text
+                 for name, text in files.items()}
+        _write_all(files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -242,7 +254,7 @@ def main(argv=None):
     except (NumericalFailureError, EmptyEnsembleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(*lines, *(f"wrote {path}" for path in paths), sep="\n")
+    print(*lines, *(f"wrote {path}" for path in files), sep="\n")
     return EXIT_OK
 
 

@@ -106,9 +106,10 @@ class _Sums:
 
 
 def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
-              track_beta=False):
+              track_beta=False, per_node=False):
     """LearningCurves of the `simulate_group` variants (algos[i],
-    noise_phases[i]) over config's runs and iterations, in order.
+    noise_phases[i]) over config's runs and iterations, in order; with
+    per_node, each curve carries its per-node MSD too.
 
     The runs are split into contiguous run-index ranges of near-equal
     size: one per worker but at most one per MIN_TASK_RUNS runs, and
@@ -117,7 +118,6 @@ def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
     one range; the tasks share one process pool.
     """
     runs, iterations = config.monte_carlo_runs, config.iterations
-    per_node = config.per_node_msd
     workers = worker_count(n_jobs)
     cap = max(1, (MAX_TASK_RUNS_PER_NODE if per_node else MAX_TASK_RUNS)
               // len(algos))
@@ -140,11 +140,12 @@ def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
 def monte_carlo_msd(config, n_jobs=None, track_beta=False):
     """Learning curves for every configured algorithm, in config order.
 
-    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2.
+    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2. The
+    curves carry per-node MSD when config.per_node_msd is set.
     """
     return {c.name: c for c in _ensemble(
         config, config.build_problem(), config.algorithms, n_jobs=n_jobs,
-        track_beta=track_beta)}
+        track_beta=track_beta, per_node=config.per_node_msd)}
 
 
 def steady_state_estimate(curve, tail_fraction=0.1):
@@ -237,7 +238,7 @@ def theory_inputs(problem, algo):
     variances; A and C are the problem's weights (identity when the
     algorithm shares no data or no weights, respectively).
     """
-    n, L = problem.n_nodes, problem.dim
+    n = problem.n_nodes
     spec = problem.noise_phases[0][1]
     adj = problem.graph.adjacency_matrix()
     cross = adj.astype(float)
@@ -253,8 +254,7 @@ def theory_inputs(problem, algo):
     C = problem.weights if algo.share_weights else np.eye(n)
     return TheoryInputs(
         h=problem.h,
-        R=np.broadcast_to(problem.input_variance * np.eye(L),
-                          (n, L, L)).copy(),
+        input_var=np.full(n, problem.input_variance),
         A=A,
         C=C,
         mu=algo.step_sizes(n),

@@ -6,10 +6,13 @@ the true weights, the gradient covariances there, the mean error
 recursion and its spectral radius, per-node step-size bounds, and the
 steady-state network MSD.
 
-The per-link expectations are affine in R_l, I and h h^T, so every block
-is assembled from the (N, N) coefficient arrays of
-TheoryInputs.link_factors. The MSD series is summed by Smith doubling
-(R. A. Smith, 1968); see steady_state_msd.
+The model has white regressors: node k's input covariance is r_k I.
+Every Hessian block is then a scalar times I and every gradient-noise
+block is a I + b h h^T, so the analysis is exact on (N, N) coefficient
+arrays (TheoryInputs.link_factors). The mean recursion is
+B_hat = M kron I_L with M = diag(1 - mu c) A, and rho is that of M, by
+a dense N x N eigensolve. The MSD series is still summed on NL x NL
+matrices, by Smith doubling (R. A. Smith, 1968); see steady_state_msd.
 
 All blocks are the exact expectations of the gradient estimators the
 simulator runs, so predicted and simulated dynamics share one step-size
@@ -34,9 +37,6 @@ from .errors import (
 
 MSD_DOUBLING_TOL = 1e-12
 MSD_DOUBLING_CAP = 64
-POWER_ITER_TOL = 1e-10
-POWER_ITER_CAP = 100_000
-DENSE_EIG_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class TheoryInputs:
     """
 
     h: np.ndarray
-    R: np.ndarray          # (N, L, L) input covariance per node
+    input_var: np.ndarray  # (N,) input variance r per node: R_k = r_k I
     A: np.ndarray          # adaptation weights
     C: np.ndarray          # combination weights
     mu: np.ndarray         # (N,) step sizes
@@ -60,12 +60,13 @@ class TheoryInputs:
     zeta2: np.ndarray      # (N, N) kernel parameters per link
 
     def __post_init__(self):
-        for name in ("h", "R", "A", "C", "mu", "obs_var", "sigma_x2",
+        for name in ("h", "input_var", "A", "C", "mu", "obs_var", "sigma_x2",
                      "sigma_y2", "sigma_phi2", "gamma", "zeta2"):
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, v)
         if any((getattr(self, name) < 0).any() for name in
-               ("obs_var", "sigma_x2", "sigma_y2", "sigma_phi2")):
+               ("input_var", "obs_var", "sigma_x2", "sigma_y2",
+                "sigma_phi2")):
             raise InvalidArgumentError("variances must be nonnegative")
 
     @property
@@ -80,8 +81,9 @@ class TheoryInputs:
     def link_factors(self):
         """Per-link scalar coefficients, (N, N) arrays zero off the neighborhood.
 
-        Returns (mask, hess, q_r, q_i, q_h) with H_lk = -hess[l, k] R_l and
-        Q_lk = q_r[l, k] R_l + q_i[l, k] I - q_h[l, k] h h^T. mask holds the
+        Returns (mask, hess, q_r, q_i, q_h) with H_lk = -hess[l, k] r_l I and
+        Q_lk = (q_r[l, k] r_l + q_i[l, k]) I - q_h[l, k] h h^T, r_l the
+        input variance of the source node l. mask holds the
         modeled links l -> k: the nonzeros of A or C, plus the self links.
         Self link: hess = 1, q_r = obs_var_l. Cross link, u = |h|^2 + gamma:
         hess = sqrt(zeta2/(sigma_x2 + zeta2)) / ((sigma_x2 + zeta2) u) and,
@@ -132,118 +134,90 @@ class MsdPrediction:
     iterations_used: int
 
 
-def _block_diag(blocks):
-    """(N, L, L) blocks -> (NL, NL) block-diagonal matrix."""
-    n, L, _ = blocks.shape
-    return np.einsum("kij,km->kimj", blocks, np.eye(n)).reshape(n * L, n * L)
-
-
-def _summed_hessian(inputs):
-    """(N, L, L): sum_l alpha_lk H_lk(h) over the neighborhood of each k."""
+def _curvature(inputs):
+    """(N,) c with sum_l alpha_lk H_lk(h) = -c_k I at every node k."""
     _, hess, *_ = inputs.link_factors
-    return -np.tensordot(inputs.A * hess, inputs.R, axes=(0, 0))
+    return ((inputs.A * hess) * inputs.input_var[:, None]).sum(axis=0)
 
 
-def _script_matrices(inputs):
-    """Return A_script = A kron I_L and D = I + M_script H_script."""
-    L = inputs.dim
-    mh = np.repeat(inputs.mu, L)[:, None] * _block_diag(_summed_hessian(inputs))
-    return np.kron(inputs.A, np.eye(L)), np.eye(mh.shape[0]) + mh
-
-
-def spectral_radius(m, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
-    """Spectral radius by power iteration, dense eigensolver for small matrices.
-
-    Power iteration tracks the growth factor of the iterated vector; on
-    stall (complex-dominant or degenerate spectra) it falls back to the
-    dense solver.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] <= DENSE_EIG_MAX:
-        return float(np.abs(np.linalg.eigvals(m)).max())
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    streak = 0
-    for _ in range(cap):
-        w = m @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * max(lam, 1e-300):
-            streak += 1
-            if streak >= 3:
-                return lam
-        else:
-            streak = 0
-        prev = lam
-    return float(np.abs(np.linalg.eigvals(m)).max())
+def _mean_matrix(inputs):
+    """M = diag(1 - mu c) A, so that B_hat = M kron I_L."""
+    return (1.0 - inputs.mu * _curvature(inputs))[:, None] * inputs.A
 
 
 def stepsize_upper_bound(inputs):
-    """(N,) largest stable step size per node: 2 / rho(sum_l alpha_lk H_lk(h))."""
-    rho = np.abs(np.linalg.eigvals(_summed_hessian(inputs))).max(axis=1)
+    """(N,) largest stable step size per node: 2 / c_k (see _curvature)."""
+    c = _curvature(inputs)
     with np.errstate(divide="ignore", over="ignore"):
-        bounds = 2.0 / rho
+        bounds = 2.0 / c
     if np.isinf(bounds).any():
         k = int(np.argmax(np.isinf(bounds)))
         raise InvalidArgumentError(
             f"summed Hessian at node {k} is zero, or too small for a finite "
-            f"step-size bound (spectral radius {rho[k]:.3g})")
+            f"step-size bound (spectral radius {c[k]:.3g})")
     return bounds
 
 
-def _noise_driver_matrices(inputs):
-    """V_script (weight-exchange noise) and R_script (gradient noise)."""
-    L, h = inputs.dim, inputs.h
+def _noise_coefficients(inputs):
+    """(X, Y) with V + R_script = X kron I_L + Y kron h h^T.
+
+    X = diag(v) + A^T diag(x) A and Y = -A^T diag(y) A, where v_p sums
+    the weight-channel noise C_lp^2 sigma_phi2_lp over the cross links
+    into p, x_p = sum_l (alpha_lp mu_p)^2 (q_r r_l + q_i) and
+    y_p = sum_l (alpha_lp mu_p)^2 q_h.
+    """
     mask, _, q_r, q_i, q_h = inputs.link_factors
-    w = (inputs.A * inputs.mu) ** 2          # alpha_lp^2 mu_p^2
-    blocks = (np.tensordot(w * q_r, inputs.R, axes=(0, 0))
-              + (w * q_i).sum(axis=0)[:, None, None] * np.eye(L)
-              - (w * q_h).sum(axis=0)[:, None, None] * np.outer(h, h))
-    A_script = np.kron(inputs.A, np.eye(L))
-    R_script = A_script.T @ _block_diag(blocks) @ A_script
+    A = inputs.A
+    w = (A * inputs.mu) ** 2          # alpha_lp^2 mu_p^2
+    x = (w * (q_r * inputs.input_var[:, None] + q_i)).sum(axis=0)
+    y = (w * q_h).sum(axis=0)
     cross = mask & ~np.eye(inputs.n_nodes, dtype=bool)
-    vcoef = np.where(cross, inputs.C ** 2 * inputs.sigma_phi2, 0.0).sum(axis=0)
-    return np.diag(np.repeat(vcoef, L)), R_script
+    v = np.where(cross, inputs.C ** 2 * inputs.sigma_phi2, 0.0).sum(axis=0)
+    return np.diag(v) + A.T @ (x[:, None] * A), -A.T @ (y[:, None] * A)
 
 
 def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
     """Steady-state network MSD by Smith doubling.
 
     MSD = (1/N) vec{V + R}^T (I - F)^{-1} vec{I} with
-    F = (B_hat kron B_hat), B_hat = (I + M H) A_script. Equivalently
+    F = (B_hat kron B_hat), B_hat = M kron I_L (_mean_matrix). Equivalently
     Tr(T) = N * MSD for T = sum_{j>=0} B_hat^T^j (V + R) B_hat^j. Starting
-    from S = V + R and P = B_hat, each squaring sets S <- S + P^T S P and
-    then P <- P^2, so after s squarings S holds the first 2^s terms.
+    from S = V + R (_noise_coefficients) and P = B_hat, both NL x NL,
+    each squaring sets S <- S + P^T S P and then P <- P^2, so after s
+    squarings S holds the first 2^s terms.
 
     tol bounds the Frobenius norm of the last increment P^T S P; cap is
     the number of squarings allowed before NumericalFailureError.
     iterations_used counts the squarings. rho is the spectral radius of
-    the mean recursion B = B_hat^T; InstabilityError carries it when
-    rho >= 1.
+    the mean recursion B = B_hat^T, which is rho(M); InstabilityError
+    carries it when rho >= 1.
     """
-    A_script, D = _script_matrices(inputs)
-    rho = spectral_radius(A_script.T @ D)
+    M = _mean_matrix(inputs)
+    rho = float(np.abs(np.linalg.eigvals(M)).max())
     if rho >= 1.0:
         raise InstabilityError(
             f"mean recursion is unstable (rho = {rho:.6g} >= 1)", rho)
-    V, R_script = _noise_driver_matrices(inputs)
-    S = V + R_script
-    P = D @ A_script
-    for it in range(1, cap + 1):
-        inc = P.T @ S @ P
-        S = S + inc
-        with np.errstate(over="ignore"):   # past the float range: inf
+    X, Y = _noise_coefficients(inputs)
+    eye = np.eye(inputs.dim)
+    S = np.kron(X, eye) + np.kron(Y, np.outer(inputs.h, inputs.h))
+    P = np.kron(M, eye)
+    # rho(M) a rounding error below 1 (say M = A when mu c is 0) can let
+    # P^(2^s) grow past the float range; the increment is then not finite.
+    # The norm alone may overflow on finite entries, so the test is on inc.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cap + 1):
+            inc = P.T @ S @ P
+            S = S + inc
             delta = float(np.linalg.norm(inc))
-        if delta < tol:
-            msd = float(np.trace(S)) / inputs.n_nodes
-            return MsdPrediction(
-                msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, rho, it)
-        P = P @ P
+            if delta < tol:
+                msd = float(np.trace(S)) / inputs.n_nodes
+                return MsdPrediction(
+                    msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, rho,
+                    it)
+            if not np.isfinite(inc).all():
+                break
+            P = P @ P
     raise NumericalFailureError(
-        f"MSD doubling did not converge in {cap} squarings "
+        f"MSD doubling did not converge in {it} squarings "
         f"(last increment {delta:.3g})"
     )

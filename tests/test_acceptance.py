@@ -6,8 +6,11 @@ them; a failed assertion is the FAIL line). The heavier checks reuse
 the shipped presets under presets/.
 """
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -47,6 +50,12 @@ def preset(name):
 
 def report(num, detail):
     print(f"\ncriterion {num}: PASS ({detail})")
+
+
+def two_workers():
+    """A pool of two fresh worker processes."""
+    return ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn"))
 
 
 def window_db(curve, lo, hi):
@@ -100,7 +109,7 @@ def test_criterion_2_expectations_match_monte_carlo():
     u = float(h @ h) + gamma
     full = np.full((2, 2), 0.5)
     ti = TheoryInputs(
-        h=h, R=np.broadcast_to(np.eye(2), (2, 2, 2)).copy(),
+        h=h, input_var=np.ones(2),
         A=full, C=np.eye(2), mu=np.full(2, 0.01),
         obs_var=np.full(2, obs_var), sigma_x2=np.full((2, 2), sx2),
         sigma_y2=np.full((2, 2), sy2), sigma_phi2=np.zeros((2, 2)),
@@ -159,7 +168,7 @@ def small_instance(n, L, mu=0.02, sigma_phi2=0.02):
     h = np.linspace(0.4, -0.3, L)
     gamma = (0.1 + 0.04) / 0.04
     return TheoryInputs(
-        h=h, R=np.broadcast_to(np.eye(L), (n, L, L)).copy(),
+        h=h, input_var=np.ones(n),
         A=C, C=C, mu=np.full(n, mu), obs_var=np.full(n, 0.1),
         sigma_x2=np.full((n, n), 0.04), sigma_y2=np.full((n, n), 0.04),
         sigma_phi2=np.full((n, n), sigma_phi2),
@@ -203,12 +212,16 @@ def test_criterion_4_stability_bound_brackets_divergence():
     ti = theory_inputs(problem, algo)
     bounds = stepsize_upper_bound(ti)
 
+    # a run's numbers depend only on its index, so the two factors run
+    # on two workers
+    factors = (0.5, 5.0)
+    scaled = [replace(algo, step_size=tuple(f * bounds)) for f in factors]
+    with two_workers() as pool:
+        results = list(pool.map(simulate_runs, repeat(problem), scaled,
+                                repeat(list(range(100))), repeat(2000)))
     outcomes = {}
-    for factor in (0.5, 5.0):
-        scaled = replace(algo, step_size=tuple(factor * bounds))
-        ti_f = theory_inputs(problem, scaled)
-        _, rho = mean_recursion_matrix(ti_f)
-        res = simulate_runs(problem, scaled, list(range(100)), 2000)
+    for factor, algo_f, res in zip(factors, scaled, results):
+        _, rho = mean_recursion_matrix(theory_inputs(problem, algo_f))
         outcomes[factor] = (rho, int((res.diverged_at >= 0).sum()))
     rho_lo, div_lo = outcomes[0.5]
     rho_hi, div_hi = outcomes[5.0]
@@ -227,10 +240,12 @@ def test_criterion_5_asymptotic_unbiasedness():
     cfg = gaussian_n10_config(500, 3000)
     problem = cfg.build_problem()
     algo = cfg.algorithms[0]
+    batches = [list(range(start, start + 100)) for start in range(0, 500, 100)]
+    with two_workers() as pool:
+        results = list(pool.map(simulate_runs, repeat(problem), repeat(algo),
+                                batches, repeat(3000)))
     finals = []
-    for start in range(0, 500, 100):
-        res = simulate_runs(problem, algo, list(range(start, start + 100)),
-                            3000)
+    for res in results:
         assert (res.diverged_at == -1).all()
         finals.append(res.final_w)
     err = np.concatenate(finals) - np.asarray(cfg.h)   # (500, 10, 4)

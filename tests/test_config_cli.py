@@ -362,6 +362,31 @@ def test_cli_failed_write_is_validation_error(command, tmp_path,
     assert os.listdir(out) == []
 
 
+def test_cli_failed_write_keeps_the_old_outputs(tmp_path, monkeypatch,
+                                               capsys):
+    # the disk fills up at the second file: exit 3 that names it, the old
+    # learning curve is kept byte for byte, and no temp file is left
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def second_full(*args, **kwargs):
+        made.append(None)
+        if len(made) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+    monkeypatch.setattr(tempfile, "mkstemp", second_full)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "learning_curve.csv").write_bytes(b"old,curve\n")
+    code = cli.main(["run", "--config", COMPARE_CFG, "--out", str(out),
+                     "--runs", "1", "--set", "iterations=5", "--gnuplot"])
+    assert code == cli.EXIT_VALIDATION
+    assert f"cannot write {out / 'learning_curve.gp'}: No space left" in \
+        capsys.readouterr().err
+    assert os.listdir(out) == ["learning_curve.csv"]
+    assert (out / "learning_curve.csv").read_bytes() == b"old,curve\n"
+
+
 def test_cli_sweep_without_spec_fails(small_cfg_path, capsys):
     code = cli.main(["sweep", "--config", small_cfg_path])
     assert code == cli.EXIT_VALIDATION
@@ -465,19 +490,20 @@ def test_cli_theory_refuses_past_the_float_range(tmp_path, capsys, sets,
 
 def test_cli_theory_computes_rho_once_per_algorithm(tmp_path, monkeypatch,
                                                      capsys):
-    from difflab import theory
+    # steady_state_msd computes rho; nothing else solves for it
+    from difflab import harness
     calls = []
-    radius = theory.spectral_radius
+    solve = harness.steady_state_msd
 
-    def counting(m, *args, **kwargs):
-        calls.append(m.shape)
-        return radius(m, *args, **kwargs)
-    monkeypatch.setattr(theory, "spectral_radius", counting)
+    def counting(ti, *args, **kwargs):
+        calls.append(ti.n_nodes)
+        return solve(ti, *args, **kwargs)
+    monkeypatch.setattr(harness, "steady_state_msd", counting)
     code = cli.main(["theory", "--config",
                      os.path.join(PRESET_DIR, "compare.cfg"),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
-    assert calls == [(40, 40)]
+    assert calls == [10]
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -398,6 +398,32 @@ def test_sweep_simulates_each_distinct_variant_once(monkeypatch):
                 alone[name].msd_linear.tobytes()
 
 
+def test_only_run_records_per_node(monkeypatch):
+    # sweep and compare read no per-node curve, so with per_node_msd set
+    # they hand the pool no per-node task; run does
+    made, flags = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: InProcessPool(made, max_workers))
+    simulate_group = harness.simulate_group
+
+    def recording(problem, algos, run_indices, iterations, record_per_node,
+                  *args):
+        flags.append(record_per_node)
+        return simulate_group(problem, algos, run_indices, iterations,
+                              record_per_node, *args)
+    monkeypatch.setattr(harness, "simulate_group", recording)
+    dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=0.045,
+                         zeta2=KernelSchedule(1e4, 0.2, 8))
+    cfg = make_config(algorithms=(dmtc,), runs=32, iterations=20,
+                      per_node_msd=True)
+    sweep(cfg, "sigma_a2", [0.01, 0.04], n_jobs=2)
+    theory_vs_simulation(cfg, n_jobs=2)
+    assert flags == [False] * 4 and len(made) == 2
+    flags.clear()
+    assert monte_carlo_msd(cfg, n_jobs=2)["dmtc"].per_node is not None
+    assert flags == [True] * 2 and len(made) == 3
+
+
 def test_sweep_all_diverged_names_first_value_then_algorithm():
     # the zeta2 sweep co-scales each step size; "fast" diverges on every
     # run from 100 up and "slow" from 1000: the error names the first
@@ -463,7 +489,7 @@ def test_theory_inputs_shapes_and_gammas():
     expect_gamma = np.where(adj, (0.1 + 0.04) / 0.04, 0.0)
     assert np.allclose(ti.gamma, expect_gamma)
     assert (ti.sigma_x2 == np.where(adj, 0.04, 0.0)).all()
-    assert (ti.R == 1.5 * np.eye(len(H))).all()
+    assert ti.input_var.shape == (n,) and (ti.input_var == 1.5).all()
     assert (ti.zeta2 == 0.2).all()
     nds = AlgorithmSpec("nds", share_data=False, share_weights=False)
     ti2 = theory_inputs(problem, nds)

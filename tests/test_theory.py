@@ -12,10 +12,9 @@ from difflab.errors import (
 from difflab.harness import theory_inputs
 from difflab.theory import (
     TheoryInputs,
-    _block_diag,
-    _noise_driver_matrices,
-    _summed_hessian,
-    spectral_radius,
+    _curvature,
+    _mean_matrix,
+    _noise_coefficients,
     steady_state_msd,
     stepsize_upper_bound,
 )
@@ -30,6 +29,7 @@ from theory_reference import (
     fixed_point_msd,
     gradient_covariance,
     hessian_at_optimum,
+    mean_recursion_by_links,
     mean_recursion_matrix,
     noise_drivers_by_links,
     steady_state_msd_bruteforce,
@@ -43,11 +43,9 @@ def make_inputs(h, A, C, mu, obs_var, sigma_x2=0.0, sigma_y2=0.0,
                 sigma_phi2=0.0, gamma=3.5, zeta2=0.2, input_var=1.0):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    L = len(h)
-    full = np.full((n, n), float)
     return TheoryInputs(
         h=np.asarray(h, dtype=float),
-        R=np.broadcast_to(input_var * np.eye(L), (n, L, L)).copy(),
+        input_var=np.full(n, input_var),
         A=A,
         C=np.asarray(C, dtype=float),
         mu=np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy(),
@@ -186,9 +184,13 @@ def test_stability_bound_brackets_divergence():
 
 
 def test_stepsize_bounds_match_per_node_eigenvalues():
+    # 2 / rho(sum_l alpha_lk H_lk) from the (N, L, L) summed Hessians,
+    # bit for bit
     cfg = parse_config(COMPARE_CFG)
     ti = theory_inputs(cfg.build_problem(), cfg.algorithms[0])
-    S = _summed_hessian(ti)
+    _, hess, *_ = ti.link_factors
+    R = ti.input_var[:, None, None] * np.eye(ti.dim)
+    S = -np.tensordot(ti.A * hess, R, axes=(0, 0))
     per_node = [2.0 / np.abs(np.linalg.eigvals(S[k])).max()
                 for k in range(ti.n_nodes)]
     assert stepsize_upper_bound(ti).tolist() == per_node
@@ -196,7 +198,7 @@ def test_stepsize_bounds_match_per_node_eigenvalues():
 
 def test_zero_summed_hessian_names_its_node():
     ti = make_inputs([0.4, 0.7], np.eye(3), np.eye(3), 0.05, 0.1)
-    ti.R[1] = 0.0
+    ti.input_var[1] = 0.0
     with pytest.raises(InvalidArgumentError, match="node 1 is zero"):
         stepsize_upper_bound(ti)
 
@@ -254,15 +256,6 @@ def test_tradeoff_report_decomposition():
     assert quiet.combination_part == 0.0
 
 
-def test_spectral_radius_known_values():
-    assert spectral_radius(np.diag([0.3, -0.9, 0.5])) == pytest.approx(0.9)
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((120, 120))
-    m = 0.5 * (m + m.T)  # symmetric so the dominant eigenvalue is real
-    assert spectral_radius(m) == pytest.approx(
-        float(np.abs(np.linalg.eigvalsh(m)).max()), rel=1e-8)
-
-
 @pytest.mark.parametrize("n_nodes", [10, 50])
 def test_doubling_matches_fixed_point_on_compare(n_nodes):
     cfg = parse_config(COMPARE_CFG, [("graph.nodes", n_nodes)])
@@ -278,16 +271,25 @@ def test_doubling_cap_raises():
         steady_state_msd(network_inputs(sigma_phi2=0.04), cap=1)
 
 
+def test_doubling_past_float_range_raises():
+    # a vanishing step leaves M = A, whose eigensolve can round rho to
+    # just below 1; the doubling then overflows and must refuse, not warn
+    cfg = parse_config(COMPARE_CFG, [("noise.x.c", 0.0), ("graph.nodes", 12),
+                                     ("algorithms.0.step_size", 5e-324)])
+    ti = theory_inputs(cfg.build_problem(), cfg.algorithms[0])
+    with pytest.raises((InstabilityError, NumericalFailureError)):
+        steady_state_msd(ti)
+
+
 def random_network_inputs(rng, share_data):
     # without data sharing A = I, so the modeled links come from C alone
     n, L = 12, 3
     g = generate_random_graph(n, 4.0, seed=5)
     C = metropolis_weights(g)
     A = C.copy() if share_data else np.eye(n)
-    G = rng.standard_normal((n, L, L))
     return TheoryInputs(
         h=rng.standard_normal(L),
-        R=G @ G.transpose(0, 2, 1) + np.eye(L),
+        input_var=rng.uniform(0.5, 2.0, n),
         A=A,
         C=C,
         mu=rng.uniform(0.01, 0.05, n),
@@ -302,11 +304,18 @@ def random_network_inputs(rng, share_data):
 
 @pytest.mark.parametrize("share_data", [True, False])
 def test_vectorized_blocks_match_per_link_sums(share_data):
+    # unequal input variances per node, so that each link's terms must
+    # carry the variance of its source node
     ti = random_network_inputs(np.random.default_rng(8), share_data)
-    np.testing.assert_allclose(_block_diag(_summed_hessian(ti)),
-                               block_diag_hessian_by_links(ti),
-                               rtol=1e-12, atol=1e-15)
-    V, R_script = _noise_driver_matrices(ti)
+    assert np.unique(ti.input_var).size == ti.n_nodes
+    eye = np.eye(ti.dim)
+    tol = dict(rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(np.kron(np.diag(-_curvature(ti)), eye),
+                               block_diag_hessian_by_links(ti), **tol)
+    np.testing.assert_allclose(np.kron(_mean_matrix(ti), eye),
+                               mean_recursion_by_links(ti), **tol)
+    X, Y = _noise_coefficients(ti)
     V_ref, R_ref = noise_drivers_by_links(ti)
-    np.testing.assert_allclose(V, V_ref, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(R_script, R_ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(
+        np.kron(X, eye) + np.kron(Y, np.outer(ti.h, ti.h)), V_ref + R_ref,
+        **tol)

@@ -1,13 +1,14 @@
 """Loop-based reference implementations of the closed-form theory.
 
-Test oracles only: the mean recursion matrix B and its spectral radius
-(steady_state_msd builds both for its stability check and reports rho),
-the fixed-point MSD iteration, which adds one term of the series per
-step where steady_state_msd doubles, the direct (I - F)^{-1} solve with
-F materialized, the trace decomposition of the noise drivers, and the
-per-link Hessian H_lk and gradient covariance Q_lk at the true weights
-(hessian_at_optimum, gradient_covariance) and the assembly of the
-Hessian and noise-driver blocks from them, one link at a time.
+Test oracles only, on NL x NL matrices assembled one link at a time
+from the per-link Hessian H_lk and gradient covariance Q_lk at the true
+weights (hessian_at_optimum, gradient_covariance): the Hessian and
+noise-driver blocks, the mean recursion matrix B and its spectral radius
+by a dense eigensolve (steady_state_msd builds the N x N form of both
+for its stability check and reports rho), the fixed-point MSD
+iteration, which adds one term of the series per step where
+steady_state_msd doubles, the direct (I - F)^{-1} solve with F
+materialized, and the trace decomposition of the noise drivers.
 """
 
 from dataclasses import dataclass
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from difflab.errors import InvalidArgumentError, NumericalFailureError
-from difflab.theory import (
-    MsdPrediction,
-    _noise_driver_matrices,
-    _script_matrices,
-    spectral_radius,
-)
+from difflab.theory import MsdPrediction
 
 
 @dataclass(frozen=True)
@@ -43,25 +39,37 @@ def _check_link(mask, l, k):
 
 
 def hessian_at_optimum(inputs, l, k):
-    """Expected gradient Jacobian H_lk = -hess[l, k] R_l at the true weights."""
+    """Expected gradient Jacobian H_lk = -hess[l, k] r_l I at the true weights."""
     mask, hess, *_ = inputs.link_factors
     _check_link(mask, l, k)
-    return -hess[l, k] * inputs.R[l]
+    return -hess[l, k] * inputs.input_var[l] * np.eye(inputs.dim)
 
 
 def gradient_covariance(inputs, l, k):
     """Gradient covariance Q_lk at the true weights (see link_factors)."""
     mask, _, q_r, q_i, q_h = inputs.link_factors
     _check_link(mask, l, k)
-    return (q_r[l, k] * inputs.R[l] + q_i[l, k] * np.eye(inputs.dim)
+    return ((q_r[l, k] * inputs.input_var[l] + q_i[l, k]) * np.eye(inputs.dim)
             - q_h[l, k] * np.outer(inputs.h, inputs.h))
 
 
+def mean_recursion_by_links(inputs):
+    """B_hat = (I + M_script H_script) A_script, one link at a time."""
+    L = inputs.dim
+    M_script = np.kron(np.diag(inputs.mu), np.eye(L))
+    D = np.eye(inputs.n_nodes * L) + M_script @ block_diag_hessian_by_links(
+        inputs)
+    return D @ np.kron(inputs.A, np.eye(L))
+
+
+def _rho(m):
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
 def mean_recursion_matrix(inputs):
-    """B = A_script^T (I + M_script H_script) and rho(B)."""
-    A_script, D = _script_matrices(inputs)
-    B = A_script.T @ D
-    return B, spectral_radius(B)
+    """B = B_hat^T and rho(B)."""
+    B = mean_recursion_by_links(inputs).T
+    return B, _rho(B)
 
 
 def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
@@ -69,9 +77,8 @@ def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
 
     Returns (msd_linear, iterations).
     """
-    A_script, D = _script_matrices(inputs)
-    B_hat = D @ A_script
-    V, R_script = _noise_driver_matrices(inputs)
+    B_hat = mean_recursion_by_links(inputs)
+    V, R_script = noise_drivers_by_links(inputs)
     M0 = V + R_script
     T = M0.copy()
     for it in range(1, cap + 1):
@@ -85,24 +92,21 @@ def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
 
 def steady_state_msd_bruteforce(inputs):
     """Direct (I - F)^{-1} solve with F materialized; tiny instances only."""
-    A_script, D = _script_matrices(inputs)
-    nl = A_script.shape[0]
+    B_hat = mean_recursion_by_links(inputs)
+    nl = B_hat.shape[0]
     if nl > 8:
         raise InvalidArgumentError("brute-force MSD limited to N*L <= 8")
-    eye = np.eye(nl)
-    B_hat = D @ A_script
     F = np.kron(B_hat, B_hat)
-    V, R_script = _noise_driver_matrices(inputs)
-    vec_eye = eye.reshape(-1, order="F")
+    vec_eye = np.eye(nl).reshape(-1, order="F")
     x = np.linalg.solve(np.eye(nl * nl) - F, vec_eye)
+    V, R_script = noise_drivers_by_links(inputs)
     msd = float((V + R_script).reshape(-1, order="F") @ x) / inputs.n_nodes
-    rho = float(np.abs(np.linalg.eigvals(B_hat)).max())
-    return MsdPrediction(msd, 10.0 * np.log10(msd), rho, 0)
+    return MsdPrediction(msd, 10.0 * np.log10(msd), _rho(B_hat), 0)
 
 
 def combination_noise_tradeoff(inputs):
     """Tr(V + R) total and per node; compares combination strategies."""
-    V, R_script = _noise_driver_matrices(inputs)
+    V, R_script = noise_drivers_by_links(inputs)
     L = inputs.dim
     diag = np.diag(V + R_script)
     per_node = diag.reshape(inputs.n_nodes, L).sum(axis=1)

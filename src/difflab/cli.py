@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .config import parse_config, parse_overrides
+from .config import _SWEEP_PARAMS, parse_config, parse_overrides
 from .errors import (
     ConfigError,
     EmptyEnsembleError,
@@ -212,12 +212,13 @@ def make_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", default=[],
                        dest="overrides", metavar="KEY=VALUE")
-        p.add_argument("--per-node-msd", action="store_true")
         p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--gnuplot", action="store_true")
+        if name == "run":
+            p.add_argument("--per-node-msd", action="store_true")
+        if name in ("run", "sweep"):
+            p.add_argument("--gnuplot", action="store_true")
         if name == "sweep":
-            p.add_argument("--param",
-                           choices=("sigma_a2", "sigma_b2", "zeta2"))
+            p.add_argument("--param", choices=_SWEEP_PARAMS)
             p.add_argument("--values", type=lambda s: [
                 float(v) for v in s.split(",")])
         if name == "compare":
@@ -233,7 +234,7 @@ def main(argv=None):
             overrides.append(("simulation.runs", args.runs))
         if args.seed is not None:
             overrides.append(("simulation.seed", args.seed))
-        if args.per_node_msd:
+        if getattr(args, "per_node_msd", False):
             overrides.append(("simulation.per_node_msd", True))
         config = parse_config(args.config, overrides)
         with _output(args.out):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import _SWEEP_PARAMS
 from .errors import (EmptyEnsembleError, InstabilityError,
                      InvalidArgumentError, UnmodeledCaseError)
 from .noise import gamma_lk
@@ -55,9 +56,12 @@ class LearningCurve:
 
 
 def worker_count(n_jobs=None):
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    return max(1, os.cpu_count() or 1)
+    """n_jobs, which must be at least 1, or the CPU count when None."""
+    if n_jobs is None:
+        return max(1, os.cpu_count() or 1)
+    if n_jobs < 1:
+        raise InvalidArgumentError(f"jobs must be at least 1, got {n_jobs}")
+    return int(n_jobs)
 
 
 def _simulated(tasks, workers):
@@ -106,7 +110,7 @@ class _Sums:
 
 
 def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
-              track_beta=False, per_node=False):
+              per_node=False):
     """LearningCurves of the `simulate_group` variants (algos[i],
     noise_phases[i]) over config's runs and iterations, in order; with
     per_node, each curve carries its per-node MSD too.
@@ -127,7 +131,7 @@ def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
         n_ranges = min(runs, math.ceil(n_ranges / workers) * workers)
     bounds = [runs * i // n_ranges for i in range(n_ranges + 1)]
     tasks = [(problem, algos, list(range(lo, hi)), iterations, per_node,
-              track_beta, noise_phases)
+              noise_phases)
              for lo, hi in zip(bounds, bounds[1:])]
     n = problem.n_nodes
     sums = [_Sums(iterations, n, per_node) for _ in algos]
@@ -137,7 +141,7 @@ def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
     return [total.curve(a.name, n) for a, total in zip(algos, sums)]
 
 
-def monte_carlo_msd(config, n_jobs=None, track_beta=False):
+def monte_carlo_msd(config, n_jobs=None):
     """Learning curves for every configured algorithm, in config order.
 
     MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2. The
@@ -145,7 +149,7 @@ def monte_carlo_msd(config, n_jobs=None, track_beta=False):
     """
     return {c.name: c for c in _ensemble(
         config, config.build_problem(), config.algorithms, n_jobs=n_jobs,
-        track_beta=track_beta, per_node=config.per_node_msd)}
+        per_node=config.per_node_msd)}
 
 
 def steady_state_estimate(curve, tail_fraction=0.1):
@@ -197,7 +201,7 @@ def _substitute(config, param, value):
         return replace(config, algorithms=tuple(patch(a)
                                                 for a in config.algorithms))
     raise InvalidArgumentError(
-        f"unknown sweep parameter {param!r}; use sigma_a2, sigma_b2 or zeta2"
+        f"unknown sweep parameter {param!r}; use one of {_SWEEP_PARAMS}"
     )
 
 
@@ -235,21 +239,15 @@ def theory_inputs(problem, algo):
 
     The analysis is evaluated at the post-switch kernel value, the
     problem's input variance and its phase-one (Gaussian base) noise
-    variances; A and C are the problem's weights (identity when the
-    algorithm shares no data or no weights, respectively).
+    variances, one per channel on every cross link, so gamma is the
+    ratio of each node's outgoing links; A and C are the problem's
+    weights (identity when the algorithm shares no data or no weights,
+    respectively).
     """
     n = problem.n_nodes
     spec = problem.noise_phases[0][1]
-    adj = problem.graph.adjacency_matrix()
-    cross = adj.astype(float)
-    sx2 = spec.x.sigma_a2 * cross
-    sy2 = spec.y.sigma_a2 * cross
-    sphi2 = spec.phi.sigma_a2 * cross
+    sx2 = spec.x.sigma_a2
     obs = problem.obs_std() ** 2
-    gamma = np.zeros((n, n))
-    if spec.x.sigma_a2 > 0:
-        gamma[adj] = gamma_lk(obs[np.nonzero(adj)[0]], sy2[adj], sx2[adj])
-    z2f = algo.zeta2.final if algo.zeta2 is not None else 1.0
     A = problem.weights if algo.share_data else np.eye(n)
     C = problem.weights if algo.share_weights else np.eye(n)
     return TheoryInputs(
@@ -260,10 +258,10 @@ def theory_inputs(problem, algo):
         mu=algo.step_sizes(n),
         obs_var=obs,
         sigma_x2=sx2,
-        sigma_y2=sy2,
-        sigma_phi2=sphi2,
-        gamma=gamma,
-        zeta2=np.full((n, n), z2f),
+        sigma_phi2=spec.phi.sigma_a2,
+        gamma=(gamma_lk(obs, spec.y.sigma_a2, sx2) if sx2 > 0
+               else np.zeros(n)),
+        zeta2=algo.zeta2.final if algo.zeta2 is not None else 1.0,
     )
 
 

@@ -272,8 +272,7 @@ class SimResult:
 class _Variant:
     """One algorithm's state and update within a group's lockstep pass."""
 
-    def __init__(self, problem, algo, R, iterations, record_per_node,
-                 track_beta):
+    def __init__(self, problem, algo, R, iterations, record_per_node):
         ls = problem.links
         n, L, E = problem.n_nodes, problem.dim, ls.n_links
         self.algo = algo
@@ -286,7 +285,6 @@ class _Variant:
         self.cfix3 = None
         if algo.shares_phi and not algo.adaptive_combination:
             self.cfix3 = link_weights
-        self.track_beta = track_beta
         self.W = np.zeros((R, n, L))
         self.delta2 = np.ones((R, E))
         self.active = np.ones(R, dtype=bool)
@@ -337,10 +335,9 @@ class _Variant:
                 inv = 1.0 / delta2
                 seg = np.add.reduceat(inv, starts, axis=1)
                 beta = inv / seg.take(dst, axis=1)
-                if self.track_beta:
+                if self.active.any():
                     sums = np.add.reduceat(beta, starts, axis=1)
-                    active = self.active
-                    err = float(np.abs(sums[active] - 1.0).max()) if active.any() else 0.0
+                    err = float(np.abs(sums[self.active] - 1.0).max())
                     self.beta_sum_err = max(self.beta_sum_err, err)
                 beta = beta[..., None]
             else:
@@ -373,7 +370,7 @@ class _Variant:
 
 
 def simulate_group(problem, algos, run_indices, iterations,
-                   record_per_node=False, track_beta=False, noise_phases=None):
+                   record_per_node=False, noise_phases=None):
     """Simulate a batch of realizations of any mix of variants.
 
     noise_phases gives each algorithm its own tuple laid out like
@@ -408,8 +405,8 @@ def simulate_group(problem, algos, run_indices, iterations,
         raise InvalidArgumentError(
             "the noise phases of one pass must share their start "
             "iterations and outlier probabilities")
-    variants = [_Variant(problem, a, R, iterations, record_per_node,
-                         track_beta) for a in algos]
+    variants = [_Variant(problem, a, R, iterations, record_per_node)
+                for a in algos]
     for v, phases in zip(variants, noise_phases, strict=True):
         groups[phases][1].append(v)
     groups = [g for g in groups.values() if g[1]]
@@ -433,8 +430,8 @@ def simulate_group(problem, algos, run_indices, iterations,
     return [v.result() for v in variants]
 
 
-def simulate_runs(problem, algo, run_indices, iterations, record_per_node=False,
-                  track_beta=False):
+def simulate_runs(problem, algo, run_indices, iterations,
+                  record_per_node=False):
     """Simulate a batch of realizations of one algorithm: a group of one."""
     return simulate_group(problem, (algo,), run_indices, iterations,
-                          record_per_node, track_beta)[0]
+                          record_per_node)[0]

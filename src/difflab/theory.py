@@ -43,8 +43,10 @@ MSD_DOUBLING_CAP = 64
 class TheoryInputs:
     """Scenario parameters for the closed-form analysis.
 
-    Per-link arrays are (N, N) with entry [l, k] for the directed link
-    l -> k; entries off the neighborhood are ignored.
+    A and C are (N, N) with entry [l, k] for the directed link l -> k;
+    entries off the neighborhood are ignored. Every cross link carries
+    the same channel variances and kernel parameter, and its TLS ratio
+    is that of its source node.
     """
 
     h: np.ndarray
@@ -53,20 +55,18 @@ class TheoryInputs:
     C: np.ndarray          # combination weights
     mu: np.ndarray         # (N,) step sizes
     obs_var: np.ndarray    # (N,) observation noise variances
-    sigma_x2: np.ndarray   # (N, N) input-channel variances
-    sigma_y2: np.ndarray   # (N, N) output-channel variances
-    sigma_phi2: np.ndarray  # (N, N) weight-channel variances
-    gamma: np.ndarray      # (N, N) TLS ratios per link
-    zeta2: np.ndarray      # (N, N) kernel parameters per link
+    sigma_x2: float        # input-channel variance
+    sigma_phi2: float      # weight-channel variance
+    gamma: np.ndarray      # (N,) TLS ratio of the links out of each node
+    zeta2: float           # kernel parameter
 
     def __post_init__(self):
         for name in ("h", "input_var", "A", "C", "mu", "obs_var", "sigma_x2",
-                     "sigma_y2", "sigma_phi2", "gamma", "zeta2"):
+                     "sigma_phi2", "gamma", "zeta2"):
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, v)
         if any((getattr(self, name) < 0).any() for name in
-               ("input_var", "obs_var", "sigma_x2", "sigma_y2",
-                "sigma_phi2")):
+               ("input_var", "obs_var", "sigma_x2", "sigma_phi2")):
             raise InvalidArgumentError("variances must be nonnegative")
 
     @property
@@ -85,9 +85,9 @@ class TheoryInputs:
         Q_lk = (q_r[l, k] r_l + q_i[l, k]) I - q_h[l, k] h h^T, r_l the
         input variance of the source node l. mask holds the
         modeled links l -> k: the nonzeros of A or C, plus the self links.
-        Self link: hess = 1, q_r = obs_var_l. Cross link, u = |h|^2 + gamma:
-        hess = sqrt(zeta2/(sigma_x2 + zeta2)) / ((sigma_x2 + zeta2) u) and,
-        with p = sigma_x2 / (u^2 sqrt(zeta2) (2 sigma_x2 + zeta2)^{3/2}),
+        Self link: hess = 1, q_r = obs_var_l. Cross link, u = |h|^2 +
+        gamma_l: hess = sqrt(zeta2/(sigma_x2 + zeta2)) / ((sigma_x2 + zeta2) u)
+        and, with p = sigma_x2 / (u^2 sqrt(zeta2) (2 sigma_x2 + zeta2)^{3/2}),
         q_r = p u, q_i = p u sigma_x2, q_h = p sigma_x2. zeta2 is never
         squared: zeta2^2 underflows below about 1e-154, where p is still
         finite. A factor past the float range raises NumericalFailureError.
@@ -97,9 +97,8 @@ class TheoryInputs:
         eye = np.eye(self.n_nodes, dtype=bool)
         mask = (self.A != 0) | (self.C != 0) | eye
         cross = mask & ~eye
-        u = float(self.h @ self.h) + self.gamma[cross]
-        z2 = self.zeta2[cross]
-        sx2 = self.sigma_x2[cross]
+        u = float(self.h @ self.h) + self.gamma[np.nonzero(cross)[0]]
+        z2, sx2 = self.zeta2, self.sigma_x2
         hess = eye.astype(float)
         q_r = np.diag(self.obs_var)
         q_i = np.zeros_like(q_r)
@@ -162,7 +161,7 @@ def _noise_coefficients(inputs):
     """(X, Y) with V + R_script = X kron I_L + Y kron h h^T.
 
     X = diag(v) + A^T diag(x) A and Y = -A^T diag(y) A, where v_p sums
-    the weight-channel noise C_lp^2 sigma_phi2_lp over the cross links
+    the weight-channel noise C_lp^2 sigma_phi2 over the cross links
     into p, x_p = sum_l (alpha_lp mu_p)^2 (q_r r_l + q_i) and
     y_p = sum_l (alpha_lp mu_p)^2 q_h.
     """

@@ -111,9 +111,8 @@ def test_criterion_2_expectations_match_monte_carlo():
     ti = TheoryInputs(
         h=h, input_var=np.ones(2),
         A=full, C=np.eye(2), mu=np.full(2, 0.01),
-        obs_var=np.full(2, obs_var), sigma_x2=np.full((2, 2), sx2),
-        sigma_y2=np.full((2, 2), sy2), sigma_phi2=np.zeros((2, 2)),
-        gamma=np.full((2, 2), gamma), zeta2=np.full((2, 2), z2),
+        obs_var=np.full(2, obs_var), sigma_x2=sx2, sigma_phi2=0.0,
+        gamma=np.full(2, gamma), zeta2=z2,
     )
     H = hessian_at_optimum(ti, 0, 1)
     Q = gradient_covariance(ti, 0, 1)
@@ -170,9 +169,8 @@ def small_instance(n, L, mu=0.02, sigma_phi2=0.02):
     return TheoryInputs(
         h=h, input_var=np.ones(n),
         A=C, C=C, mu=np.full(n, mu), obs_var=np.full(n, 0.1),
-        sigma_x2=np.full((n, n), 0.04), sigma_y2=np.full((n, n), 0.04),
-        sigma_phi2=np.full((n, n), sigma_phi2),
-        gamma=np.full((n, n), gamma), zeta2=np.full((n, n), 0.2),
+        sigma_x2=0.04, sigma_phi2=sigma_phi2,
+        gamma=np.full(n, gamma), zeta2=0.2,
     )
 
 
@@ -358,8 +356,7 @@ def test_criterion_8_reductions():
 
     # adaptive combination rows stay convex across a full-length run
     ac = next(a for a in cfg.algorithms if a.name == "ac-dmtc")
-    beta_res = simulate_runs(problem, ac, [0, 1, 2, 3], cfg.iterations,
-                             track_beta=True)
+    beta_res = simulate_runs(problem, ac, [0, 1, 2, 3], cfg.iterations)
     elapsed = time.perf_counter() - t0
     assert beta_res.beta_sum_err <= 1e-12
     report(8, "independent-filter reduction bit-exact over "

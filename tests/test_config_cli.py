@@ -252,6 +252,28 @@ def test_cli_validation_error(small_cfg_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cli_jobs_below_one_is_validation_error(small_cfg_path, tmp_path,
+                                                jobs, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", small_cfg_path, "--out", str(out),
+                     "--jobs", jobs])
+    assert code == cli.EXIT_VALIDATION
+    assert "jobs" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--gnuplot"], ["theory", "--per-node-msd"],
+    ["sweep", "--per-node-msd"], ["compare", "--per-node-msd"],
+    ["validate", "--gnuplot"]], ids=" ".join)
+def test_cli_refuses_a_flag_the_command_does_not_read(small_cfg_path, argv,
+                                                      capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", small_cfg_path])
+    assert exc.value.code == cli.EXIT_PARSE
+
+
 def test_cli_run_writes_curve_csv(small_cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", small_cfg_path, "--out", str(out),
@@ -354,7 +376,8 @@ def test_cli_failed_write_is_validation_error(command, tmp_path,
     monkeypatch.setattr(tempfile, "mkstemp", full)
     out = tmp_path / "out"
     code = cli.main([command, "--config", COMPARE_CFG, "--out", str(out),
-                     "--runs", "1", "--set", "iterations=5", "--gnuplot"])
+                     "--runs", "1", "--set", "iterations=5",
+                     *(["--gnuplot"] if command == "run" else [])])
     assert code == cli.EXIT_VALIDATION
     name = "learning_curve.csv" if command == "run" else "theory_report.txt"
     assert f"cannot write {out / name}: No space left" in \

@@ -128,6 +128,9 @@ THEORY_DIGESTS = {
         "216d15a2eb40a8b8a941aefb3dc9e39c84c1045dd2baff22525bbb9580a87215",
     ("fig1.cfg", ()):
         "b0143a1cb8b3a3fc197ffb8f7be08864c625dbb3e3b709078586275c8d7b4319",
+    ("compare.cfg", ("signal.observation_variance="
+                     "[0.1,0.2,0.05,0.3,0.1,0.1,0.2,0.4,0.1,0.15]",)):
+        "6923a0fa22b915aecbaa4b87a812e3f060814cc94a5e0eebf1cabf3cbbb164bb",
 }
 
 # sha256 of sweep_<param>.csv per sweep preset, at any --jobs

@@ -141,7 +141,7 @@ def test_per_node_record_sums_to_network():
 
 def test_beta_rows_tracked_as_convex():
     problem = make_problem()
-    res = simulate_runs(problem, VARIANTS[6], [0, 1], 30, track_beta=True)
+    res = simulate_runs(problem, VARIANTS[6], [0, 1], 30)
     assert res.beta_sum_err < 1e-12
 
 
@@ -205,13 +205,13 @@ def test_group_pass_equals_solo_runs(path):
     ls = problem.links
     order = np.concatenate((ls.cross_idx, ls.self_idx))
     assert (order.take(ls.perm) == np.arange(ls.n_links)).all()
-    for per_node, beta in ((False, False), (True, True)):
+    for per_node in (False, True):
         grouped = simulate_group(problem, cfg.algorithms, [0, 2, 3], 120,
-                                 record_per_node=per_node, track_beta=beta)
+                                 record_per_node=per_node)
         assert len(grouped) == len(cfg.algorithms)
         for algo, res in zip(cfg.algorithms, grouped):
             solo = simulate_runs(problem, algo, [0, 2, 3], 120,
-                                 record_per_node=per_node, track_beta=beta)
+                                 record_per_node=per_node)
             assert_same_result(res, solo)
 
 

@@ -29,6 +29,7 @@ from theory_reference import (
     fixed_point_msd,
     gradient_covariance,
     hessian_at_optimum,
+    link_scalars,
     mean_recursion_by_links,
     mean_recursion_matrix,
     noise_drivers_by_links,
@@ -39,8 +40,8 @@ COMPARE_CFG = os.path.join(os.path.dirname(__file__), "..", "presets",
                            "compare.cfg")
 
 
-def make_inputs(h, A, C, mu, obs_var, sigma_x2=0.0, sigma_y2=0.0,
-                sigma_phi2=0.0, gamma=3.5, zeta2=0.2, input_var=1.0):
+def make_inputs(h, A, C, mu, obs_var, sigma_x2=0.0, sigma_phi2=0.0,
+                gamma=3.5, zeta2=0.2, input_var=1.0):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     return TheoryInputs(
@@ -50,11 +51,10 @@ def make_inputs(h, A, C, mu, obs_var, sigma_x2=0.0, sigma_y2=0.0,
         C=np.asarray(C, dtype=float),
         mu=np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy(),
         obs_var=np.broadcast_to(np.asarray(obs_var, dtype=float), (n,)).copy(),
-        sigma_x2=np.full((n, n), sigma_x2),
-        sigma_y2=np.full((n, n), sigma_y2),
-        sigma_phi2=np.full((n, n), sigma_phi2),
-        gamma=np.full((n, n), gamma),
-        zeta2=np.full((n, n), zeta2),
+        sigma_x2=sigma_x2,
+        sigma_phi2=sigma_phi2,
+        gamma=np.full(n, gamma),
+        zeta2=zeta2,
     )
 
 
@@ -106,7 +106,7 @@ def test_cross_hessian_matches_monte_carlo():
     gamma = (obs_var + sy2) / sx2
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     ti = make_inputs(h, A, np.eye(2), 0.01, obs_var, sigma_x2=sx2,
-                     sigma_y2=sy2, gamma=gamma, zeta2=z2)
+                     gamma=gamma, zeta2=z2)
     H = hessian_at_optimum(ti, 0, 1)
 
     rng = np.random.default_rng(11)
@@ -128,7 +128,7 @@ def test_cross_covariance_matches_monte_carlo():
     gamma = (obs_var + sy2) / sx2
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     ti = make_inputs(h, A, np.eye(2), 0.01, obs_var, sigma_x2=sx2,
-                     sigma_y2=sy2, gamma=gamma, zeta2=z2)
+                     gamma=gamma, zeta2=z2)
     Q = gradient_covariance(ti, 0, 1)
 
     rng = np.random.default_rng(12)
@@ -216,8 +216,8 @@ def network_inputs(n=4, L=2, mu=0.02, sigma_phi2=0.0, seed=3):
     C = metropolis_weights(g)
     A = C.copy()
     h = np.array([0.4, 0.7, -0.3, 0.5])[:L]
-    ti = make_inputs(h, A, C, mu, 0.1, sigma_x2=0.04, sigma_y2=0.04,
-                     sigma_phi2=sigma_phi2, gamma=3.5, zeta2=0.2)
+    ti = make_inputs(h, A, C, mu, 0.1, sigma_x2=0.04, sigma_phi2=sigma_phi2,
+                     gamma=3.5, zeta2=0.2)
     return ti
 
 
@@ -294,22 +294,26 @@ def random_network_inputs(rng, share_data):
         C=C,
         mu=rng.uniform(0.01, 0.05, n),
         obs_var=rng.uniform(0.05, 0.2, n),
-        sigma_x2=rng.uniform(0.01, 0.1, (n, n)),
-        sigma_y2=rng.uniform(0.01, 0.1, (n, n)),
-        sigma_phi2=rng.uniform(0.01, 0.1, (n, n)),
-        gamma=rng.uniform(1.0, 5.0, (n, n)),
-        zeta2=rng.uniform(0.1, 1.0, (n, n)),
+        sigma_x2=rng.uniform(0.01, 0.1),
+        sigma_phi2=rng.uniform(0.01, 0.1),
+        gamma=rng.uniform(1.0, 5.0, n),
+        zeta2=rng.uniform(0.1, 1.0),
     )
 
 
 @pytest.mark.parametrize("share_data", [True, False])
 def test_vectorized_blocks_match_per_link_sums(share_data):
-    # unequal input variances per node, so that each link's terms must
-    # carry the variance of its source node
+    # unequal input variances and TLS ratios per node, so that each
+    # link's terms must carry those of its source node
     ti = random_network_inputs(np.random.default_rng(8), share_data)
     assert np.unique(ti.input_var).size == ti.n_nodes
+    assert np.unique(ti.gamma).size == ti.n_nodes
     eye = np.eye(ti.dim)
     tol = dict(rtol=1e-12, atol=1e-15)
+    mask, *factors = ti.link_factors
+    for l, k in zip(*np.nonzero(mask)):
+        np.testing.assert_allclose([f[l, k] for f in factors],
+                                   link_scalars(ti, l, k), **tol)
     np.testing.assert_allclose(np.kron(np.diag(-_curvature(ti)), eye),
                                block_diag_hessian_by_links(ti), **tol)
     np.testing.assert_allclose(np.kron(_mean_matrix(ti), eye),

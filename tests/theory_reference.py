@@ -38,6 +38,19 @@ def _check_link(mask, l, k):
         raise InvalidArgumentError(f"link {l}->{k} is not in the neighborhood")
 
 
+def link_scalars(inputs, l, k):
+    """(hess, q_r, q_i, q_h) of link l -> k, from that link's own formula
+    (see TheoryInputs.link_factors): a cross link takes the TLS ratio of
+    its source node l."""
+    if l == k:
+        return 1.0, inputs.obs_var[l], 0.0, 0.0
+    sx2, z2 = float(inputs.sigma_x2), float(inputs.zeta2)
+    u = float(inputs.h @ inputs.h) + inputs.gamma[l]
+    p = sx2 / (u * u * np.sqrt(z2) * (2.0 * sx2 + z2) ** 1.5)
+    hess = np.sqrt(z2 / (sx2 + z2)) / ((sx2 + z2) * u)
+    return hess, p * u, p * u * sx2, p * sx2
+
+
 def hessian_at_optimum(inputs, l, k):
     """Expected gradient Jacobian H_lk = -hess[l, k] r_l I at the true weights."""
     mask, hess, *_ = inputs.link_factors
@@ -149,7 +162,7 @@ def noise_drivers_by_links(inputs):
                     blk += a * a * gradient_covariance(inputs, l, p)
                 b = inputs.C[l, p]
                 if b != 0.0 and l != p:
-                    vcoef += b * b * inputs.sigma_phi2[l, p]
+                    vcoef += b * b * inputs.sigma_phi2
         C_blocks[p * L:(p + 1) * L, p * L:(p + 1) * L] = blk
         V[p * L:(p + 1) * L, p * L:(p + 1) * L] = vcoef * np.eye(L)
     return V, A_script.T @ M_script @ C_blocks @ M_script.T @ A_script

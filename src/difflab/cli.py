@@ -43,6 +43,7 @@ from .harness import (
     steady_state_estimate,
     sweep,
     theory_vs_simulation,
+    worker_count,
 )
 from .topology import validate_combination_matrix
 
@@ -117,12 +118,13 @@ def _gnuplot_script(csv_name, columns, xlabel):
 
 
 def _cmd_run(config, args):
-    curves = monte_carlo_msd(config, n_jobs=args.jobs)
+    curves = monte_carlo_msd(config, n_jobs=args.jobs,
+                             per_node=args.per_node_msd)
     order = [a.name for a in config.algorithms]
     files = {"learning_curve.csv": _db_csv(
         "iteration", [f"{n}_msd_db" for n in order],
         enumerate(zip(*(curves[n].msd_db for n in order))))}
-    if config.per_node_msd:
+    if args.per_node_msd:
         for name in order:
             with np.errstate(divide="ignore"):
                 db = 10.0 * np.log10(curves[name].per_node)
@@ -234,11 +236,10 @@ def main(argv=None):
             overrides.append(("simulation.runs", args.runs))
         if args.seed is not None:
             overrides.append(("simulation.seed", args.seed))
-        if getattr(args, "per_node_msd", False):
-            overrides.append(("simulation.per_node_msd", True))
         config = parse_config(args.config, overrides)
         with _output(args.out):
             os.makedirs(args.out, exist_ok=True)
+        worker_count(args.jobs)  # refuses --jobs below 1 on any command
         lines, files = args.fn(config, args)
         files = {os.path.join(args.out, name): text
                  for name, text in files.items()}

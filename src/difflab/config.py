@@ -5,7 +5,7 @@ The on-disk format is a YAML key tree with fixed sections:
     graph:       nodes, avg_degree, seed | edge_list
     signal:      h, input_variance, observation_variance
     noise:       x / y / phi channel specs, optional `after` phase
-    simulation:  iterations, runs, seed, per_node_msd
+    simulation:  iterations, runs, seed
     algorithms:  list of per-algorithm blocks
     sweep:       optional parameter and values for the `sweep` command
 
@@ -53,9 +53,7 @@ class ExperimentConfig:
 
     h: tuple
     algorithms: tuple            # AlgorithmSpec, order preserved in outputs
-    noise: LinkNoiseSpec         # phase-one link noise
-    noise_after: LinkNoiseSpec = None   # optional second phase
-    noise_switch_iteration: int = 0
+    noise_phases: tuple          # (start, LinkNoiseSpec) pairs from 0
     n_nodes: int = 0             # random-graph size; unused with edge_list_path
     avg_degree: float = 3.0
     graph_seed: int = 7
@@ -65,7 +63,6 @@ class ExperimentConfig:
     iterations: int = 1000
     monte_carlo_runs: int = 100
     seed: int = 2024
-    per_node_msd: bool = False
     sweep: tuple = None          # (parameter, values) of the sweep section
 
     def __post_init__(self):
@@ -85,19 +82,17 @@ class ExperimentConfig:
         return generate_random_graph(self.n_nodes, self.avg_degree,
                                      self.graph_seed)
 
-    def noise_phases(self):
-        phases = [(0, self.noise)]
-        if self.noise_after is not None:
-            phases.append((self.noise_switch_iteration, self.noise_after))
-        return tuple(phases)
-
     def build_problem(self):
+        """The NetworkProblem of this config; every algorithm's step sizes
+        must fit its graph."""
         graph = self.build_graph()
+        for algo in self.algorithms:
+            algo.step_sizes(graph.n_nodes)
         return NetworkProblem(
             graph=graph,
             h=np.asarray(self.h, dtype=float),
             weights=metropolis_weights(graph),
-            noise_phases=self.noise_phases(),
+            noise_phases=self.noise_phases,
             input_variance=self.input_variance,
             obs_var=self.observation_variance,
             seed=self.seed,
@@ -209,7 +204,6 @@ _SECTIONS = {
         "iterations": ("iterations", _integer),
         "runs": ("monte_carlo_runs", _integer),
         "seed": ("seed", _seed),
-        "per_node_msd": ("per_node_msd", _flag),
     },
 }
 # The sweep section: key -> cast, in the order of ExperimentConfig.sweep.
@@ -275,10 +269,9 @@ def build_config(tree):
     if "h" not in kwargs:
         raise ConfigError("signal.h is required")
     noise = _read(tree["noise"], {**_PHASE, "after": _after}, "noise")
-    if "after" in noise:
-        kwargs["noise_switch_iteration"], kwargs["noise_after"] = \
-            noise.pop("after")
-    kwargs["noise"] = LinkNoiseSpec(**noise)
+    after = noise.pop("after", None)
+    kwargs["noise_phases"] = ((0, LinkNoiseSpec(**noise)),) + (
+        (after,) if after else ())
     algos = tree["algorithms"]
     if not isinstance(algos, list) or not algos:
         raise ConfigError("algorithms must be a non-empty list")
@@ -395,10 +388,11 @@ def config_tree(config):
     """The canonical key tree of an ExperimentConfig."""
     graph, signal, simulation = (_write(config, table)
                                  for table in _SECTIONS.values())
-    noise = _write(config.noise, _PHASE)
-    if config.noise_after is not None:
-        noise["after"] = {"switch_iteration": config.noise_switch_iteration,
-                          **_write(config.noise_after, _PHASE)}
+    (_, first), *after = config.noise_phases
+    noise = _write(first, _PHASE)
+    if after:
+        (start, spec), = after
+        noise["after"] = {"switch_iteration": start, **_write(spec, _PHASE)}
     tree = {"graph": graph, "signal": signal, "noise": noise,
             "simulation": simulation,
             "algorithms": [_write(a, _ALGORITHM) for a in config.algorithms]}

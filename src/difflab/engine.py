@@ -80,8 +80,12 @@ class AlgorithmSpec:
         return self.share_weights or self.adaptive_combination
 
     def step_sizes(self, n_nodes):
-        return np.broadcast_to(np.asarray(self.step_size, dtype=float),
-                               (n_nodes,)).copy()
+        mu = np.asarray(self.step_size, dtype=float)
+        if mu.size not in (1, n_nodes):
+            raise InvalidArgumentError(
+                f"{self.name}: {mu.size} step sizes for {n_nodes} nodes; "
+                "give one or one per node")
+        return np.broadcast_to(mu, (n_nodes,)).copy()
 
 
 def _residual(w, x, y):

@@ -141,15 +141,15 @@ def _ensemble(config, problem, algos, noise_phases=None, n_jobs=None,
     return [total.curve(a.name, n) for a, total in zip(algos, sums)]
 
 
-def monte_carlo_msd(config, n_jobs=None):
+def monte_carlo_msd(config, n_jobs=None, per_node=False):
     """Learning curves for every configured algorithm, in config order.
 
-    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2. The
-    curves carry per-node MSD when config.per_node_msd is set.
+    MSD(i) = (1 / (N * runs_used)) * sum_runs sum_k |w_k(i) - h|^2. With
+    per_node, the curves carry per-node MSD too.
     """
     return {c.name: c for c in _ensemble(
         config, config.build_problem(), config.algorithms, n_jobs=n_jobs,
-        per_node=config.per_node_msd)}
+        per_node=per_node)}
 
 
 def steady_state_estimate(curve, tail_fraction=0.1):
@@ -176,14 +176,11 @@ def convergence_iteration(curve, margin_db=3.0, tail_fraction=0.1):
 def _substitute(config, param, value):
     """Return a copy of config with a swept parameter replaced uniformly."""
     if param in ("sigma_a2", "sigma_b2"):
-        def patch(spec):
-            if spec is None:
-                return None
-            return replace(spec, **{ch: replace(getattr(spec, ch),
-                                                **{param: value})
-                                    for ch in ("x", "y", "phi")})
-        return replace(config, noise=patch(config.noise),
-                       noise_after=patch(config.noise_after))
+        return replace(config, noise_phases=tuple(
+            (start, replace(spec, **{ch: replace(getattr(spec, ch),
+                                                 **{param: value})
+                                     for ch in ("x", "y", "phi")}))
+            for start, spec in config.noise_phases))
     if param == "zeta2":
         # The total-correntropy gradient carries a 1/zeta^2 factor, so a
         # bare kernel sweep would mostly rescale the effective step size.
@@ -220,7 +217,7 @@ def sweep(config, param, values, n_jobs=None):
     subs = [_substitute(config, param, v) for v in sorted(values)]
     keys, variants, index = [], [], []
     for sub in subs:
-        phases = sub.noise_phases()
+        phases = sub.noise_phases
         for a in sub.algorithms:
             key = (a, phases if a.share_data or a.shares_phi else None)
             if key not in keys:

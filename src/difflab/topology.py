@@ -169,7 +169,8 @@ def _edge_list_int(path, token):
 
 
 def load_edge_list(path):
-    """Parse the edge-list format written by save_edge_list."""
+    """Parse the edge-list format written by save_edge_list; a line that
+    repeats an edge, in either direction, adds nothing."""
     try:
         with open(path) as fh:
             lines = [ln.split() for ln in fh if ln.strip()]
@@ -184,4 +185,4 @@ def load_edge_list(path):
             raise InvalidArgumentError(f"{path}: malformed edge line {parts}")
         u, v = _edge_list_int(path, parts[0]), _edge_list_int(path, parts[1])
         edges.append((min(u, v), max(u, v)))
-    return NetworkGraph(n, tuple(edges))
+    return NetworkGraph(n, tuple(sorted(set(edges))))

@@ -197,9 +197,9 @@ def gaussian_n10_config(runs, iterations):
     cfg = preset("fig1.cfg")
     base = next(a for a in cfg.algorithms if a.name == "dmtc-ds")
     dmtc = replace(base, name="dmtc", share_weights=True)
-    return replace(cfg, n_nodes=10, noise_after=None,
-                   noise_switch_iteration=0, algorithms=(dmtc,),
-                   monte_carlo_runs=runs, iterations=iterations)
+    return replace(cfg, n_nodes=10, noise_phases=cfg.noise_phases[:1],
+                   algorithms=(dmtc,), monte_carlo_runs=runs,
+                   iterations=iterations)
 
 
 def test_criterion_4_stability_bound_brackets_divergence():

@@ -20,6 +20,7 @@ from difflab.config import (
     parse_overrides,
 )
 from difflab.errors import ConfigError, InstabilityError, UnknownKeyError
+from difflab.topology import load_edge_list
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 PRESETS = sorted(glob.glob(os.path.join(PRESET_DIR, "*.cfg")))
@@ -64,7 +65,8 @@ def test_small_config_parses():
     cfg = parse_config_text(SMALL_CFG)
     assert cfg.n_nodes == 5
     assert cfg.monte_carlo_runs == 4
-    assert cfg.noise.x.sigma_a2 == 0.04
+    (start, noise), = cfg.noise_phases
+    assert start == 0 and noise.x.sigma_a2 == 0.04
     assert cfg.algorithms[1].adaptive_combination
     assert parse_config_text(emit(cfg)) == cfg
 
@@ -77,6 +79,10 @@ def test_unknown_keys_rejected():
     with pytest.raises(UnknownKeyError):
         parse_config_text(SMALL_CFG.replace("name: dlms",
                                             "name: dlms, turbo: true"))
+    # per-node MSD is `run --per-node-msd`, not a config key
+    with pytest.raises(UnknownKeyError):
+        parse_config_text(SMALL_CFG.replace("seed: 7}",
+                                            "seed: 7, per_node_msd: true}"))
 
 
 def test_missing_sections_and_empty_file():
@@ -196,7 +202,7 @@ _CONFIG_TREES = st.fixed_dictionaries({
 }, optional={
     "simulation": st.fixed_dictionaries({}, optional={
         "iterations": st.integers(1, 10**6), "runs": st.integers(1, 10**4),
-        "seed": st.integers(0, 2**63), "per_node_msd": st.booleans()}),
+        "seed": st.integers(0, 2**63)}),
     "sweep": st.fixed_dictionaries({
         "parameter": st.sampled_from(["sigma_a2", "sigma_b2", "zeta2"]),
         "values": st.lists(_POSITIVE, min_size=1, max_size=4)}),
@@ -253,10 +259,11 @@ def test_cli_validation_error(small_cfg_path):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize("command", ["run", "theory", "validate"])
 def test_cli_jobs_below_one_is_validation_error(small_cfg_path, tmp_path,
-                                                jobs, capsys):
+                                                command, jobs, capsys):
     out = tmp_path / "out"
-    code = cli.main(["run", "--config", small_cfg_path, "--out", str(out),
+    code = cli.main([command, "--config", small_cfg_path, "--out", str(out),
                      "--jobs", jobs])
     assert code == cli.EXIT_VALIDATION
     assert "jobs" in capsys.readouterr().err
@@ -612,6 +619,32 @@ def test_cli_observation_variance_length_is_validation_error(tmp_path,
     assert "observation variances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "theory", "compare",
+                                     "validate"])
+def test_cli_step_size_length_is_validation_error(command, tmp_path, capsys):
+    # the sweep section is what `sweep` sweeps; the other commands ignore it
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", COMPARE_CFG, "--out", str(out),
+                     "--runs", "2", "--set", "iterations=10",
+                     "--set", "algorithms.0.step_size=[0.1,0.2]",
+                     "--set", "sweep={parameter: zeta2, values: [0.2]}"])
+    assert code == cli.EXIT_VALIDATION
+    assert "dmtc: 2 step sizes for 10 nodes" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_cli_edge_list_counts_a_repeated_edge_once(small_cfg_path, tmp_path,
+                                                   capsys):
+    repeated, plain = tmp_path / "repeated.edges", tmp_path / "plain.edges"
+    repeated.write_text("N 3\n0 1\n1 0\n1 2\n")
+    plain.write_text("N 3\n0 1\n1 2\n")
+    assert load_edge_list(repeated) == load_edge_list(plain)
+    code = cli.main(["validate", "--config", small_cfg_path,
+                     "--set", f"graph.edge_list={repeated}"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: 3 nodes, 2 edges,")
+
+
 def test_cli_empty_h_is_parse_error(tmp_path, capsys):
     code = cli.main(["run", "--config", os.path.join(PRESET_DIR, "compare.cfg"),
                      "--out", str(tmp_path / "out"), "--set", "signal.h=[]"])
@@ -675,6 +708,9 @@ def _overrides(noise_keys, floats, estimators, flags, integers, h_min):
                   st.sampled_from(estimators)),
         st.tuples(st.sampled_from(_FLAG_KEYS), st.sampled_from(flags)),
         st.tuples(st.sampled_from(_REAL_KEYS), floats),
+        st.tuples(st.just("algorithms.0.step_size"), st.lists(
+            st.floats(1e-6, 2.0).map(_yaml_scalar), min_size=1,
+            max_size=12).map(_yaml_list)),
         st.tuples(st.just("signal.h"), st.lists(
             floats, min_size=h_min, max_size=3).map(_yaml_list)),
         st.tuples(st.sampled_from(_INTEGER_KEYS), st.sampled_from(integers)),

@@ -20,6 +20,11 @@ in one process and on two workers (17 runs make two tasks), so that the
 swept values, their noise phases and the reduction to steady dB are held
 bit for bit whatever the task split.
 
+A fifth pins the bytes of every file `difflab run --per-node-msd` writes
+on fig1.cfg at 17 runs x 100 iterations (mixture phase from 50) on two
+workers, so the per-node path from the flag to its CSVs is held too. A
+sixth pins `emit` of each preset, the canonical form of a parsed config.
+
 The digests hold the simulator to the randomness contract bit for bit:
 a refactor that reorders a floating-point expression fails here even
 when every tolerance-based test still passes. They were computed with
@@ -35,7 +40,7 @@ from dataclasses import replace
 import pytest
 
 from difflab import cli
-from difflab.config import parse_config
+from difflab.config import emit, parse_config
 from difflab.simulate import simulate_group, simulate_runs
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
@@ -145,6 +150,42 @@ SWEEP_DIGESTS = {
         "e8fc04e3dbc3341a50b31d0802ad48bed40b00a72d6ebfbb9b5d428d1d465735",
 }
 
+# sha256 of each file of `run --per-node-msd` on fig1.cfg, by name
+PER_NODE_DIGESTS = {
+    "learning_curve.csv":
+        "74990dce72b0843d292f134f6b0ddbb491e883d3eedf9070b7b9d623fc7e6851",
+    "noncoop-lms_per_node.csv":
+        "dbe90abfe84a9d2eff435fcdacc7152344a0b81ce908de8616f1cb8cec80de6d",
+    "dlms_per_node.csv":
+        "c5251f5adc88043c815abae89ad8eb3f6dd1fc1ea817106b5a37cf7182eb9e22",
+    "ac-dlms_per_node.csv":
+        "d233bf7a80f0752fd80d7b90a1e9b38797e893ab7d302bb0b1012ba457f51048",
+    "ac-dlms-nds_per_node.csv":
+        "bf2b0efd66105402284cfa56c9d5799439ab4f2558c075b88963c47c4a9f553d",
+    "dmcc_per_node.csv":
+        "bea91e9d87b03512f1301426501d316177d0d28365e6320c1466298240545b35",
+    "dmtc-ds_per_node.csv":
+        "a19e1a0e2935a294ab3588935e4248f11ec1f91fd753d899537d5a9a77a57bee",
+    "ac-dmtc_per_node.csv":
+        "71021b1933c1a7733d9c3b8f5931c678319b1677dc22b7ab15752cd8db9876ae",
+}
+
+# sha256 of emit(parse_config(preset))
+EMIT_DIGESTS = {
+    "compare.cfg":
+        "1a33a4f3c90603fa5b927ea2c9f596695df997316a1be51057c69ca508acd661",
+    "fig1.cfg":
+        "c58d8673bc71e5cfcf449419055283bd2b5251a425473c05ed656d8f207aed9e",
+    "fig2a.cfg":
+        "fd0a5d6a4367c7a11e46ffd82f6a7c069f97872d34bfaae2ef47f10332bdef0c",
+    "fig2b.cfg":
+        "1f7f5cff002d6a026402c92349d90611275cd0340ef420da68cf1671ca591a2a",
+    "fig2c.cfg":
+        "363054ae2f912d276746fdcd2416d2ce2b1fad2b959cf7a5a01701074b49f3a2",
+    "fig3.cfg":
+        "166cbc2c0ed4fb53eef248432f0433449b000d76a50b78acd89fd5fdeec710ee",
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _problem_and_algos(case):
@@ -203,3 +244,19 @@ def test_golden_sweep_csv(name, jobs, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     (csv,) = tmp_path.glob("sweep_*.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == SWEEP_DIGESTS[name]
+
+
+def test_golden_run_per_node_csv(tmp_path, capsys):
+    argv = ["run", "--config", os.path.join(PRESET_DIR, "fig1.cfg"),
+            "--out", str(tmp_path), "--per-node-msd", "--runs", "17",
+            "--jobs", "2", "--set", "simulation.iterations=100",
+            "--set", "noise.after.switch_iteration=50"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == PER_NODE_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_DIGESTS))
+def test_golden_emit(name):
+    text = emit(parse_config(os.path.join(PRESET_DIR, name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMIT_DIGESTS[name]

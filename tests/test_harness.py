@@ -38,9 +38,9 @@ def make_config(algorithms=None, runs=6, iterations=40, noise=None,
         algorithms = (AlgorithmSpec("dlms", step_size=0.1),)
     if noise is None:
         noise = LinkNoiseSpec(x=GAUSS, y=GAUSS, phi=GAUSS)
+    phases = ((0, noise),) + (((switch, noise_after),) if noise_after else ())
     return ExperimentConfig(
-        n_nodes=5, h=H, algorithms=tuple(algorithms), noise=noise,
-        noise_after=noise_after, noise_switch_iteration=switch,
+        n_nodes=5, h=H, algorithms=tuple(algorithms), noise_phases=phases,
         observation_variance=observation_variance,
         avg_degree=3.0, graph_seed=3, iterations=iterations,
         monte_carlo_runs=runs, seed=99, **kw,
@@ -81,9 +81,8 @@ def test_curves_independent_of_worker_count():
         return (curve.msd_linear.tobytes(), curve.runs_used,
                 curve.diverged_runs, curve.beta_sum_err)
 
-    per_node_cfg = replace(cfg, per_node_msd=True)
-    cases = [monte_carlo_msd(c, n_jobs=j)
-             for c in (cfg, per_node_cfg) for j in (1, 2, 3)]
+    cases = [monte_carlo_msd(cfg, n_jobs=j, per_node=p)
+             for p in (False, True) for j in (1, 2, 3)]
     for name in ("wild", "ac"):
         assert len({fields(c[name]) for c in cases}) == 1
         assert len({c[name].per_node.tobytes() for c in cases[3:]}) == 1
@@ -168,7 +167,7 @@ def test_per_node_tasks_capped_in_records(monkeypatch):
     fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
     cfg = parse_config(fig1, (("simulation.runs", 64),
                               ("simulation.iterations", 3)))
-    monte_carlo_msd(replace(cfg, per_node_msd=True), n_jobs=1)
+    monte_carlo_msd(cfg, n_jobs=1, per_node=True)
     assert harness.MAX_TASK_RUNS_PER_NODE == 64
     assert [n for n, _ in ranges] == [7] * 8
     assert [r for _, r in ranges] == [list(range(lo, lo + 8))
@@ -257,13 +256,14 @@ def test_substitute_sigma_sweeps_all_channels():
     noise_after = LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED)
     cfg = make_config(noise_after=noise_after, switch=20)
     out = _substitute(cfg, "sigma_a2", 0.16)
-    for spec in (out.noise, out.noise_after):
+    assert [start for start, _ in out.noise_phases] == [0, 20]
+    for _, spec in out.noise_phases:
         for name in ("x", "y", "phi"):
             assert getattr(spec, name).sigma_a2 == 0.16
-    assert out.noise_after.x.sigma_b2 == 10.0  # untouched
-    out_b = _substitute(cfg, "sigma_b2", 20.0)
-    assert out_b.noise_after.phi.sigma_b2 == 20.0
-    assert out_b.noise.x.sigma_a2 == 0.04
+    assert out.noise_phases[1][1].x.sigma_b2 == 10.0  # untouched
+    (_, first), (_, after) = _substitute(cfg, "sigma_b2", 20.0).noise_phases
+    assert after.phi.sigma_b2 == 20.0
+    assert first.x.sigma_a2 == 0.04
 
 
 def test_substitute_zeta2_coscales_step_size():
@@ -399,8 +399,8 @@ def test_sweep_simulates_each_distinct_variant_once(monkeypatch):
 
 
 def test_only_run_records_per_node(monkeypatch):
-    # sweep and compare read no per-node curve, so with per_node_msd set
-    # they hand the pool no per-node task; run does
+    # sweep and compare read no per-node curve, so they hand the pool no
+    # per-node task; monte_carlo_msd with per_node does
     made, flags = [], []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(made, max_workers))
@@ -414,13 +414,13 @@ def test_only_run_records_per_node(monkeypatch):
     monkeypatch.setattr(harness, "simulate_group", recording)
     dmtc = AlgorithmSpec("dmtc", estimator="mtc", step_size=0.045,
                          zeta2=KernelSchedule(1e4, 0.2, 8))
-    cfg = make_config(algorithms=(dmtc,), runs=32, iterations=20,
-                      per_node_msd=True)
+    cfg = make_config(algorithms=(dmtc,), runs=32, iterations=20)
     sweep(cfg, "sigma_a2", [0.01, 0.04], n_jobs=2)
     theory_vs_simulation(cfg, n_jobs=2)
     assert flags == [False] * 4 and len(made) == 2
     flags.clear()
-    assert monte_carlo_msd(cfg, n_jobs=2)["dmtc"].per_node is not None
+    assert monte_carlo_msd(cfg, n_jobs=2,
+                           per_node=True)["dmtc"].per_node is not None
     assert flags == [True] * 2 and len(made) == 3
 
 

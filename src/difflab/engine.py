@@ -69,10 +69,14 @@ class AlgorithmSpec:
             raise InvalidArgumentError("chi must be in (0, 1]")
         if self.epsilon <= 0:
             raise InvalidArgumentError("epsilon must be positive")
-        if self.estimator == "mtc" and self.zeta2 is None:
-            raise InvalidArgumentError("mtc estimator needs a zeta2 schedule")
-        if self.estimator == "mcc" and self.mcc_kernel2 is None:
-            raise InvalidArgumentError("mcc estimator needs a kernel schedule")
+        # each schedule is read by one estimator, which needs it; on any
+        # other, a zeta2 sweep would rescale the step size for nothing
+        for key, reader in (("zeta2", "mtc"), ("mcc_kernel2", "mcc")):
+            if (getattr(self, key) is None) == (self.estimator == reader):
+                raise InvalidArgumentError(
+                    f"{key}: the {reader} estimator needs this schedule "
+                    f"and no other takes it; {self.name} uses "
+                    f"{self.estimator}")
 
     @property
     def shares_phi(self):

@@ -80,13 +80,9 @@ class LinkStructure:
 
     @classmethod
     def from_graph(cls, graph):
-        src, dst = [], []
-        for k in range(graph.n_nodes):
-            for l in graph.neighborhood(k):
-                src.append(l)
-                dst.append(k)
-        src = np.asarray(src)
-        dst = np.asarray(dst)
+        # closed is symmetric, so its row-major nonzeros list the links
+        # by destination, then by source
+        dst, src = np.nonzero(graph.closed)
         is_self = src == dst
         seg_starts = np.searchsorted(dst, np.arange(graph.n_nodes))
         self_idx, cross_idx = np.flatnonzero(is_self), np.flatnonzero(~is_self)
@@ -131,6 +127,12 @@ class NetworkProblem:
             object.__setattr__(self, name, v)
         if not self.noise_phases or self.noise_phases[0][0] != 0:
             raise InvalidArgumentError("first noise phase must start at iteration 0")
+        for (prev, _), (start, _) in zip(self.noise_phases,
+                                         self.noise_phases[1:]):
+            if start <= prev:
+                raise InvalidArgumentError(
+                    f"noise phase starting at iteration {start} follows one "
+                    f"starting at {prev}; phase starts must increase")
         n = self.graph.n_nodes
         if self.weights.shape != (n, n):
             raise InvalidArgumentError(

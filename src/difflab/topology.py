@@ -23,62 +23,58 @@ STOCHASTIC_TOL = 1e-12
 class NetworkGraph:
     """Undirected connected graph of estimation nodes.
 
-    Adjacency stores no self-loops; self-membership in each neighborhood
-    is implicit.
+    closed is the read-only (N, N) boolean matrix of the closed
+    neighborhoods, built once from edges: closed[l, k] is True when l is
+    in N_k. It is symmetric and its diagonal is set.
     """
 
     n_nodes: int
     edges: tuple  # tuple of (u, v) with u < v
-    _adj: tuple = field(init=False, repr=False, compare=False)
+    closed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 2:
             raise InvalidArgumentError("graph needs at least 2 nodes")
-        adj = [set() for _ in range(self.n_nodes)]
         for u, v in self.edges:
             if u == v:
                 raise InvalidArgumentError(f"self-loop on node {u}")
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
                 raise InvalidArgumentError(f"edge ({u},{v}) out of range")
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        closed = _closed(self.n_nodes,
+                         *np.array(self.edges, dtype=int).reshape(-1, 2).T)
+        closed.setflags(write=False)
+        object.__setattr__(self, "closed", closed)
         if not self.is_connected():
             raise InvalidArgumentError("graph is not connected")
 
     def neighborhood(self, k):
         """Closed neighborhood N_k: the neighbors of k plus k, sorted."""
-        return sorted(self._adj[k] | {k})
+        return np.flatnonzero(self.closed[:, k]).tolist()
 
-    def degree(self, k):
-        """Neighbor count excluding self."""
-        return len(self._adj[k])
+    def degrees(self):
+        """(N,) neighbor counts, self excluded."""
+        return self.closed.sum(axis=0) - 1
 
     def is_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_nodes
-
-    def adjacency_matrix(self):
-        m = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        for u, v in self.edges:
-            m[u, v] = m[v, u] = True
-        return m
+        return _connected(self.closed)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_combination_matrix."""
+def _closed(n_nodes, u, v):
+    """The closed-neighborhood matrix of the edges (u[i], v[i])."""
+    closed = np.eye(n_nodes, dtype=bool)
+    closed[u, v] = closed[v, u] = True
+    return closed
 
-    ok: bool
-    constraint: str = ""
-    indices: tuple = ()
+
+def _connected(closed):
+    """True when every node reaches node 0 over the symmetric boolean
+    matrix closed, whose diagonal is set."""
+    links = closed.astype(float)
+    reached, count = links[0], 0
+    while np.count_nonzero(reached) > count:
+        count = np.count_nonzero(reached)
+        reached = np.minimum(links @ reached, 1.0)
+    return count == len(closed)
 
 
 def generate_random_graph(n_nodes, avg_degree, seed):
@@ -97,11 +93,9 @@ def generate_random_graph(n_nodes, avg_degree, seed):
     iu, ju = np.triu_indices(n_nodes, k=1)
     for _ in range(1000):
         mask = rng.random(iu.size) < p
-        edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
-        try:
-            return NetworkGraph(n_nodes, edges)
-        except InvalidArgumentError:
-            continue
+        u, v = iu[mask], ju[mask]
+        if _connected(_closed(n_nodes, u, v)):
+            return NetworkGraph(n_nodes, tuple(zip(u.tolist(), v.tolist())))
     raise GenerationFailureError(
         f"no connected graph after 1000 attempts (n={n_nodes}, p={p:.3g})"
     )
@@ -113,21 +107,20 @@ def metropolis_weights(graph):
     Off-diagonal weight on edge (l, k) is 1/max(deg_l, deg_k); the
     diagonal absorbs the remainder.
     """
-    n = graph.n_nodes
-    w = np.zeros((n, n))
-    for u, v in graph.edges:
-        w[u, v] = w[v, u] = 1.0 / max(graph.degree(u), graph.degree(v))
+    deg = graph.degrees()
+    w = np.where(graph.closed, 1.0 / np.maximum.outer(deg, deg), 0.0)
+    np.fill_diagonal(w, 0.0)
     # the residue can come out a hair below zero when the off-diagonal
     # weights sum to exactly one in real arithmetic
-    w[np.diag_indices(n)] = np.maximum(1.0 - w.sum(axis=0), 0.0)
+    np.fill_diagonal(w, np.maximum(1.0 - w.sum(axis=0), 0.0))
     return w
 
 
 def validate_combination_matrix(matrix, graph):
     """Check sparsity, nonnegativity, range and per-node convexity.
 
-    matrix is an (N, N) array. Returns a ValidationReport; the first
-    violated constraint is named with its offending indices.
+    matrix is an (N, N) array. The first violated constraint raises
+    InvalidArgumentError naming it and its offending indices.
     """
     e = np.asarray(matrix, dtype=float)
     n = graph.n_nodes
@@ -135,21 +128,13 @@ def validate_combination_matrix(matrix, graph):
         raise InvalidArgumentError(
             f"matrix is {e.shape}, graph has {n} nodes"
         )
-    allowed = graph.adjacency_matrix() | np.eye(n, dtype=bool)
-    bad = (e != 0) & ~allowed
-    if bad.any():
-        l, k = np.argwhere(bad)[0]
-        return ValidationReport(False, "sparsity", (int(l), int(k)))
-    out = (e < 0) | (e > 1)
-    if out.any():
-        l, k = np.argwhere(out)[0]
-        return ValidationReport(False, "range", (int(l), int(k)))
-    col = e.sum(axis=0)
-    off = np.abs(col - 1.0) > STOCHASTIC_TOL
-    if off.any():
-        k = int(np.argmax(off))
-        return ValidationReport(False, "column-sum", (k,))
-    return ValidationReport(True)
+    for constraint, bad in (("sparsity", (e != 0) & ~graph.closed),
+                            ("range", ~((e >= 0) & (e <= 1))),  # NaN too
+                            ("column-sum",
+                             np.abs(e.sum(axis=0) - 1.0) > STOCHASTIC_TOL)):
+        if bad.any():
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise InvalidArgumentError(f"weights violate {constraint} at {at}")
 
 
 def save_edge_list(graph, path):

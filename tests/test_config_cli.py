@@ -163,19 +163,19 @@ def _one_or_list(values):
 
 
 def _algorithm_trees(name):
-    # mtc needs a zeta2 schedule and mcc a kernel schedule; lms may be
-    # left to the default estimator
+    # mtc needs a zeta2 schedule and mcc a kernel schedule, and no other
+    # estimator takes either; lms may be left to the default estimator
     def tree(estimator):
         required = {"name": st.just(name)}
         optional = {
             "share_data": st.booleans(), "share_weights": st.booleans(),
             "adaptive_combination": st.booleans(),
             "step_size": _one_or_list(_POSITIVE), "chi": st.floats(1e-3, 1.0),
-            "epsilon": _POSITIVE, "zeta2": _SCHEDULE_TREES,
-            "mcc_kernel2": _SCHEDULE_TREES,
+            "epsilon": _POSITIVE,
         }
-        for key in {"mtc": ["zeta2"], "mcc": ["mcc_kernel2"]}.get(estimator, []):
-            required[key] = optional.pop(key)
+        schedule = {"mtc": "zeta2", "mcc": "mcc_kernel2"}.get(estimator)
+        if schedule:
+            required[schedule] = _SCHEDULE_TREES
         if estimator == "lms":
             optional["estimator"] = st.just(estimator)
         else:
@@ -569,7 +569,9 @@ def test_cli_compare_refuses_all_outlier_link_noise(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override, reason", [
-    ("algorithms.0.estimator=lms", "cross_link_estimator"),
+    # lms reads no zeta2 schedule, so the whole block is replaced
+    ("algorithms.0={name: dmtc, estimator: lms, step_size: 0.0449}",
+     "cross_link_estimator"),
     ("noise.x.sigma_a2=0", "noiseless_input_channel"),
     ("noise.after={switch_iteration: 100, x: {sigma_a2: 0.3},"
      " y: {sigma_a2: 0.3}, phi: {sigma_a2: 0.3}}", "noise_after"),
@@ -631,6 +633,40 @@ def test_cli_step_size_length_is_validation_error(command, tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert "dmtc: 2 step sizes for 10 nodes" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("switch", [-5, 0])
+@pytest.mark.parametrize("command", ["run", "sweep", "theory", "compare",
+                                     "validate"])
+def test_cli_noise_switch_before_iteration_one_is_validation_error(
+        command, switch, tmp_path, capsys):
+    # a second phase from iteration 0 or earlier would replace the first
+    # from the start; the problem refuses it, naming the start
+    out = tmp_path / "out"
+    phase = "{c: 0.0, sigma_a2: 0.5, sigma_b2: 0.0}"
+    code = cli.main([command, "--config", COMPARE_CFG, "--out", str(out),
+                     "--runs", "2", "--set", "iterations=10",
+                     "--set", f"noise.after={{switch_iteration: {switch}, "
+                              f"x: {phase}, y: {phase}, phi: {phase}}}",
+                     "--set", "sweep={parameter: zeta2, values: [0.2]}"])
+    assert code == cli.EXIT_VALIDATION
+    assert f"starting at iteration {switch}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("override, named", [
+    ("algorithms.1.zeta2=0.2", "algorithms.1: zeta2"),
+    ("algorithms.5.mcc_kernel2=0.9", "algorithms.5: mcc_kernel2")])
+def test_cli_schedule_on_an_estimator_that_ignores_it_is_config_error(
+        override, named, tmp_path, capsys):
+    # fig1's dlms (1) reads no zeta2 and its dmtc-ds (5) no mcc_kernel2;
+    # a zeta2 sweep would rescale the step size of an lms that has one
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", os.path.join(PRESET_DIR, "fig1.cfg"),
+                     "--out", str(out), "--set", override])
+    assert code == cli.EXIT_PARSE
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_edge_list_counts_a_repeated_edge_once(small_cfg_path, tmp_path,

@@ -24,6 +24,9 @@ A fifth pins the bytes of every file `difflab run --per-node-msd` writes
 on fig1.cfg at 17 runs x 100 iterations (mixture phase from 50) on two
 workers, so the per-node path from the flag to its CSVs is held too. A
 sixth pins `emit` of each preset, the canonical form of a parsed config.
+A seventh pins the network structure of each preset and of compare.cfg
+at N=100: the bytes of `metropolis_weights` and of the `LinkStructure`
+index arrays, dtype included.
 
 The digests hold the simulator to the randomness contract bit for bit:
 a refactor that reorders a floating-point expression fails here even
@@ -41,7 +44,8 @@ import pytest
 
 from difflab import cli
 from difflab.config import emit, parse_config
-from difflab.simulate import simulate_group, simulate_runs
+from difflab.simulate import LinkStructure, simulate_group, simulate_runs
+from difflab.topology import metropolis_weights
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "presets")
 RUNS = [0, 1, 2]
@@ -186,6 +190,19 @@ EMIT_DIGESTS = {
         "166cbc2c0ed4fb53eef248432f0433449b000d76a50b78acd89fd5fdeec710ee",
 }
 
+# sha256 of metropolis_weights, then src, dst, seg_starts, self_idx,
+# cross_idx and perm of LinkStructure.from_graph: (config, overrides)
+NETWORK_DIGESTS = {
+    ("compare.cfg", ()):
+        "e253e22b9ab1660f470ca570fb1bea3f29b37c6587841bbaa34731019a498648",
+    ("compare.cfg", (("graph.nodes", 100),)):
+        "b58dfd2f0c68b7163a26f30f996538e19a71411fd2671e0d3a149feeffeb88da",
+    **{(name, ()):
+       "847def37e6011e406491da93498adfa03b8d7833ebdaf32eefe09704f891e953"
+       for name in ("fig1.cfg", "fig2a.cfg", "fig2b.cfg", "fig2c.cfg",
+                    "fig3.cfg")},
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _problem_and_algos(case):
@@ -260,3 +277,17 @@ def test_golden_run_per_node_csv(tmp_path, capsys):
 def test_golden_emit(name):
     text = emit(parse_config(os.path.join(PRESET_DIR, name)))
     assert hashlib.sha256(text.encode()).hexdigest() == EMIT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("key", sorted(NETWORK_DIGESTS),
+                         ids=lambda k: " ".join([k[0]] + [f"{p}={v}"
+                                                          for p, v in k[1]]))
+def test_golden_network(key):
+    name, overrides = key
+    graph = parse_config(os.path.join(PRESET_DIR, name), overrides).build_graph()
+    links = LinkStructure.from_graph(graph)
+    h = hashlib.sha256(metropolis_weights(graph).tobytes())
+    for array in (links.src, links.dst, links.seg_starts, links.self_idx,
+                  links.cross_idx, links.perm):
+        h.update(array.tobytes())
+    assert h.hexdigest() == NETWORK_DIGESTS[key]

@@ -304,7 +304,7 @@ def test_sweep_equals_one_config_per_value():
     # to LMS there and equals its LMS twin, and nowhere else
     mtc = AlgorithmSpec("mtc", estimator="mtc", step_size=0.045,
                         zeta2=KernelSchedule(1e4, 0.2, 8))
-    twin = replace(mtc, name="twin", estimator="lms")
+    twin = replace(mtc, name="twin", estimator="lms", zeta2=None)
     cfg = make_config(algorithms=(mtc, twin), runs=20, iterations=40,
                       noise_after=LinkNoiseSpec(x=MIXED, y=MIXED, phi=MIXED),
                       switch=20)
@@ -425,13 +425,16 @@ def test_only_run_records_per_node(monkeypatch):
 
 
 def test_sweep_all_diverged_names_first_value_then_algorithm():
-    # the zeta2 sweep co-scales each step size; "fast" diverges on every
-    # run from 100 up and "slow" from 1000: the error names the first
-    # swept value in sorted order, then the first algorithm in config order
+    # the zeta2 sweep co-scales each step size, and on a noiseless input
+    # channel mtc adapts with LMS, so the kernel is not read; "fast"
+    # diverges on every run from 100 up and "slow" from 1000: the error
+    # names the first swept value in sorted order, then the first
+    # algorithm in config order
     kernel = KernelSchedule(1.0, 1.0, 0)
     cfg = make_config(runs=4, iterations=60, algorithms=(
-        AlgorithmSpec("slow", step_size=0.01, zeta2=kernel),
-        AlgorithmSpec("fast", step_size=0.1, zeta2=kernel)))
+        AlgorithmSpec("slow", estimator="mtc", step_size=0.01, zeta2=kernel),
+        AlgorithmSpec("fast", estimator="mtc", step_size=0.1, zeta2=kernel)),
+        noise=LinkNoiseSpec(x=GmmSpec(), y=GAUSS, phi=GAUSS))
     with pytest.raises(EmptyEnsembleError, match="'fast'"):
         sweep(cfg, "zeta2", [1000.0, 1.0, 100.0], n_jobs=1)
     with pytest.raises(EmptyEnsembleError, match="'slow'"):
@@ -508,7 +511,7 @@ def test_theory_vs_simulation_rejections():
         "adaptive_combination": make_config(algorithms=(
             replace(dmtc, adaptive_combination=True),)),
         "cross_link_estimator": make_config(algorithms=(
-            replace(dmtc, estimator="lms"),)),
+            replace(dmtc, estimator="lms", zeta2=None),)),
         "noiseless_input_channel": make_config(
             algorithms=(dmtc,), noise=replace(gauss, x=GmmSpec())),
         "noise_after": make_config(algorithms=(dmtc,), noise_after=gauss,

@@ -290,7 +290,7 @@ def test_group_keeps_input_order_across_noise_sets():
         assert_same_result(res, simulate_runs(alone, algo, [0, 2], 40))
     # sigma_a2 = 0 turns tls_ok off for its own set only: ac-dmtc there
     # runs LMS on its cross links, and so does a twin with that estimator
-    lms_twin = replace(VARIANTS[6], estimator="lms")
+    lms_twin = replace(VARIANTS[6], estimator="lms", zeta2=None)
     zero, = simulate_group(problem, [lms_twin], [0, 2], 40,
                            noise_phases=[noise_set(0.0)])
     assert_same_result(results[1], zero)

@@ -1,8 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from difflab.errors import InvalidArgumentError
+from difflab.simulate import LinkStructure
 from difflab.topology import (
     NetworkGraph,
     generate_random_graph,
@@ -49,11 +53,10 @@ def test_mean_degree_matches_target():
 
 def test_neighborhood_includes_self():
     g = generate_random_graph(10, 3, seed=1)
-    adj = g.adjacency_matrix()
     for k in range(10):
         nb = g.neighborhood(k)
         assert k in nb
-        assert set(nb) - {k} == set(np.flatnonzero(adj[k]).tolist())
+        assert set(nb) == set(np.flatnonzero(g.closed[k]).tolist())
 
 
 def test_metropolis_two_node():
@@ -87,12 +90,12 @@ def test_metropolis_symmetric_doubly_stochastic(seed, n):
     assert np.abs(w - w.T).max() < 1e-15
     assert np.abs(w.sum(axis=0) - 1).max() < 1e-12
     assert np.abs(w.sum(axis=1) - 1).max() < 1e-12
-    assert validate_combination_matrix(metropolis_weights(g), g).ok
+    validate_combination_matrix(metropolis_weights(g), g)
 
 
 def test_identity_matrix_validates():
     g = generate_random_graph(8, 3, seed=4)
-    assert validate_combination_matrix(np.eye(8), g).ok
+    validate_combination_matrix(np.eye(8), g)
 
 
 def test_sparsity_violation_reported():
@@ -100,18 +103,23 @@ def test_sparsity_violation_reported():
     bad = np.eye(3)
     bad[0, 2] = 0.1
     bad[2, 2] = 0.9
-    report = validate_combination_matrix(bad, g)
-    assert not report.ok
-    assert report.constraint == "sparsity"
-    assert report.indices == (0, 2)
+    with pytest.raises(InvalidArgumentError, match=r"sparsity at \(0, 2\)"):
+        validate_combination_matrix(bad, g)
 
 
 def test_column_sum_violation_reported():
     g = NetworkGraph(2, ((0, 1),))
     bad = np.full((2, 2), 0.4)
-    report = validate_combination_matrix(bad, g)
-    assert not report.ok
-    assert report.constraint == "column-sum"
+    with pytest.raises(InvalidArgumentError, match=r"column-sum at \(0,\)"):
+        validate_combination_matrix(bad, g)
+
+
+@pytest.mark.parametrize("first", [1.5, np.nan])
+def test_range_violation_reported_before_column_sum(first):
+    g = NetworkGraph(2, ((0, 1),))
+    bad = np.array([[first, 0.0], [-0.5, 1.0]])
+    with pytest.raises(InvalidArgumentError, match=r"range at \(0, 0\)"):
+        validate_combination_matrix(bad, g)
 
 
 def test_dimension_mismatch():
@@ -132,3 +140,63 @@ def test_edge_list_round_trip(tmp_path):
     back = load_edge_list(path)
     assert back.n_nodes == g.n_nodes
     assert back.edges == g.edges
+
+
+@st.composite
+def _edge_list_files(draw):
+    """(n, edges, text) of a connected graph: a random spanning tree plus
+    extra edges, each written one to three times, either way round, in
+    a shuffled order."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(u, v), max(u, v))
+              for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    lines = [(u, v) if draw(st.booleans()) else (v, u)
+             for u, v in sorted(edges) for _ in range(draw(st.integers(1, 3)))]
+    lines = draw(st.permutations(lines))
+    text = f"N {n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+    return n, tuple(sorted(edges)), text
+
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.edges")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return load_edge_list(path)
+
+
+def _check_closed_against_edges(g):
+    n = g.n_nodes
+    directed = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+    assert not g.closed.flags.writeable
+    assert g.closed.shape == (n, n) and g.closed.dtype == bool
+    assert (g.closed == g.closed.T).all() and g.closed.diagonal().all()
+    off = g.closed & ~np.eye(n, dtype=bool)
+    assert set(zip(*(i.tolist() for i in np.nonzero(off)))) == directed
+    for k in range(n):
+        nbrs = sorted({l for l, m in directed if m == k} | {k})
+        assert g.neighborhood(k) == nbrs
+        assert g.degrees()[k] == len(nbrs) - 1
+    links = LinkStructure.from_graph(g)
+    pairs = list(zip(links.dst.tolist(), links.src.tolist()))
+    assert pairs == sorted(directed | {(k, k) for k in range(n)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_closed_matches_generated_edges(data):
+    n = data.draw(st.integers(2, 30))
+    degree = data.draw(st.floats(min(3.0, n - 1), n - 1))
+    _check_closed_against_edges(
+        generate_random_graph(n, degree, seed=data.draw(st.integers(0, 999))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_edge_list_files())
+def test_closed_matches_loaded_edges(case):
+    n, edges, text = case
+    g = _load_text(text)
+    assert (g.n_nodes, g.edges) == (n, edges)
+    _check_closed_against_edges(g)

@@ -114,13 +114,14 @@ def mcc_gradient(w, x, y, kernel2):
 
 def _normalized_gradient(w, x, y, gamma, zeta2):
     e = _residual(w, x, y)
+    e2 = e * e
     u = np.einsum("...l,...l->...", w, w) + gamma
     if zeta2 is None:
         G, denom = 1.0, u * u
     else:
-        G, denom = np.exp(-(e * e) / (2.0 * zeta2 * u)), zeta2 * u * u
+        G, denom = np.exp(-e2 / (2.0 * zeta2 * u)), zeta2 * u * u
     return (G * (u * e) / denom)[..., None] * x \
-        + (G * (e * e) / denom)[..., None] * w
+        + (G * e2 / denom)[..., None] * w
 
 
 def mtc_gradient(w, x, y, zeta2, gamma):

@@ -32,8 +32,8 @@ from .theory import (MsdPrediction, TheoryInputs, steady_state_msd,
 # Runs per pool task. Per-run throughput still grows above MIN_TASK_RUNS,
 # so tasks are made no smaller than the workers need: `simulate_group` in
 # process at 16, 32 and 64 runs x 1000 iterations (2 vCPU, medians of
-# interleaved passes) ran 39.3k, 47.7k and 51.2k run-iterations/s on
-# compare.cfg (N=10), and 63.5k, 72.8k and 80.3k run-variant-iterations/s
+# five interleaved passes) ran 74.4k, 88.0k and 89.8k run-iterations/s on
+# compare.cfg (N=10), and 112k, 131k and 138k run-variant-iterations/s
 # on fig1's seven variants (N=20). The caps bound the records one task
 # returns, in runs x variants, since every variant of a task returns its
 # own record: (runs, iterations) under MAX_TASK_RUNS, (runs, iterations,

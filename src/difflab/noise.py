@@ -52,19 +52,23 @@ class LinkNoiseSpec:
     phi: GmmSpec = ZERO_CHANNEL
 
 
-def mixture_draws(normals, uniforms, c, std_a, std_b):
+def mixture_draws(normals, std_a, outliers=()):
     """Scale standard normals into zero-mean Gaussian-mixture draws.
 
-    A draw takes std_b where its uniform is below c and std_a elsewhere;
-    pass uniforms=None when no draw can come from the std_b component.
-    std_a and std_b broadcast against normals (per-link scales). Callers
+    Every draw is first normals * std_a. Each (cols, uniforms, c, std_b)
+    of outliers then takes the columns normals[..., cols], laid out like
+    uniforms, and rescales those whose uniform is below c to normals *
+    std_b, in place. So every draw is one product by one factor. std_a
+    and std_b broadcast against their columns (per-link scales). Callers
     draw the uniforms whether or not they select an outlier, so draw
     counts never depend on outcomes and streams stay aligned across
     configs that differ only in variances.
     """
-    if uniforms is None:
-        return normals * std_a
-    return normals * np.where(uniforms < c, std_b, std_a)
+    draws = normals * std_a
+    for cols, uniforms, c, std_b in outliers:
+        np.multiply(normals[..., cols], std_b, out=draws[..., cols],
+                    where=uniforms < c)
+    return draws
 
 
 def gamma_lk(sigma_l2, sigma_lk_y2, sigma_lk_x2):

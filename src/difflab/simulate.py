@@ -18,6 +18,18 @@ with an outlier probability in the active noise phase. Results for a
 given run index are therefore bit-identical no matter how runs are
 batched.
 
+How a pass consumes and scales the draw leaves the contract as it is.
+Given the pass length, each run's generator fills the normals of up to
+READ_AHEAD_BYTES (over the batch) of consecutive iterations that draw
+no uniforms in one call, and each iteration reads its rows. numpy's
+ziggurat keeps no state between calls, so one (K, n) fill gives the
+numbers of K fills of n and leaves the generator in the same state; a
+fill never reaches into an iteration that draws uniforms, so each
+stream keeps its order. A phase scales an iteration's whole row in one
+multiply, by one factor per normal (`_PhaseParams.scale`), and then
+rescales its mixture outliers in place (`noise.mixture_draws`), so each
+draw is still one product by the factor it always had.
+
 Every variant reads this one block, whether or not it uses the link
 channels, so all see the same regressors, observation noise and raw link
 noise at a run index (common random numbers). A variant is an algorithm
@@ -59,6 +71,8 @@ from .noise import gamma_lk, mixture_draws
 from .topology import NetworkGraph
 
 DIVERGENCE_NORM = 1e6
+# the normals one run reads ahead over Gaussian iterations (see _Drawer)
+READ_AHEAD_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -167,39 +181,45 @@ class NetworkProblem:
 
 @dataclass(frozen=True)
 class _PhaseParams:
-    """Per-link noise scales for one phase (zero on self links).
+    """The noise scales of one phase.
 
-    c is each channel's outlier probability, 0 when the channel draws no
-    uniforms: a pure Gaussian, or c = 1, where every draw takes the
-    outlier scale. gamma is the TLS ratio on each cross link; tls_ok is
-    False when the input channel is noiseless, where MTC and GD-TLS fall
-    back to LMS.
+    scale holds one factor per normal of an iteration's row: the input
+    std per regressor entry, the observation std per node, then the
+    std_a of the x, y and phi channels per link entry (zero on self
+    links). c is each channel's outlier probability, 0 when the channel
+    draws no uniforms: a pure Gaussian, or c = 1, where every draw takes
+    the outlier scale. std_b is its outlier std per link entry. gamma is
+    the TLS ratio on each cross link; tls_ok is False when the input
+    channel is noiseless, where MTC and GD-TLS fall back to LMS.
     """
 
     start: int
     c: dict
-    std_a: dict
+    scale: np.ndarray
     std_b: dict
     gamma: np.ndarray
     tls_ok: bool
 
     @classmethod
-    def build(cls, start, spec, links, obs_var):
-        c, std_a, std_b = {}, {}, {}
-        cross = ~links.is_self
-        for name in ("x", "y", "phi"):
+    def build(cls, start, spec, problem):
+        links, obs_std = problem.links, problem.obs_std()
+        L = problem.dim
+        c, std_b = {}, {}
+        scale = [np.full(problem.n_nodes * L, np.sqrt(problem.input_variance)),
+                 obs_std]
+        for name, width in (("x", L), ("y", 1), ("phi", L)):
             g = getattr(spec, name)
             c[name] = g.c if 0.0 < g.c < 1.0 else 0.0
             sa2 = g.sigma_b2 if g.c == 1.0 else g.sigma_a2
-            on = cross if name == "y" else cross[:, None]  # (E,) or (E, 1)
-            std_a[name] = np.where(on, np.sqrt(sa2), 0.0)
-            std_b[name] = np.where(on, np.sqrt(g.sigma_b2), 0.0)
+            cross = np.repeat(~links.is_self, width)
+            scale.append(np.where(cross, np.sqrt(sa2), 0.0))
+            std_b[name] = np.where(cross, np.sqrt(g.sigma_b2), 0.0)
         tls_ok = spec.x.sigma_a2 > 0
         gamma = None
         if tls_ok:
-            gamma = gamma_lk(obs_var[links.src[links.cross_idx]],
+            gamma = gamma_lk(obs_std[links.src[links.cross_idx]] ** 2,
                              spec.y.sigma_a2, spec.x.sigma_a2)
-        return cls(start, c, std_a, std_b, gamma, tls_ok)
+        return cls(start, c, np.concatenate(scale), std_b, gamma, tls_ok)
 
 
 @dataclass
@@ -208,56 +228,74 @@ class DrawBlock:
 
     x_in: np.ndarray   # (R, N, L) regressors
     v_obs: np.ndarray  # (R, N) observation noise
-    nx: np.ndarray     # (R, E, L) or None
-    ny: np.ndarray     # (R, E) or None
-    nphi: np.ndarray   # (R, E, L) or None
+    nx: np.ndarray     # (R, E, L) input-channel link noise
+    ny: np.ndarray     # (R, E) output-channel link noise
+    nphi: np.ndarray   # (R, E, L) weight-channel link noise
 
 
 class _Drawer:
-    """Fused per-run noise generation with a fixed slice layout."""
+    """Fused per-run noise generation with a fixed slice layout.
 
-    def __init__(self, problem):
+    Given the pass length, a fill reads ahead over the iterations up to
+    the next phase start or the pass's end, if they draw no uniforms
+    (see the randomness contract); without it every fill is one
+    iteration.
+    """
+
+    def __init__(self, problem, iterations=0):
         n, L, E = problem.n_nodes, problem.dim, problem.links.n_links
-        self.n, self.L = n, L
-        self.input_std = np.sqrt(problem.input_variance)
-        self.obs_std = problem.obs_std()
-        # link channels in stream order, with their per-run shapes
-        self.channels = (("x", (E, L)), ("y", (E,)), ("phi", (E, L)))
-        self.n_normals = n * L + n + sum(
-            math.prod(shape) for _, shape in self.channels)
+        # the columns and per-run shape of each DrawBlock field in a row
+        self.fields, p = [], 0
+        for shape in ((n, L), (n,), (E, L), (E,), (E, L)):
+            self.fields.append((slice(p, p + math.prod(shape)), shape))
+            p += math.prod(shape)
+        self.n_normals = p
+        self.ends = [s for s, _ in problem.noise_phases[1:]
+                     if s < iterations] + [iterations]
+        self.i, self.pos = 0, 0
+        self.ahead = np.empty((0, 0, p))   # (R, iterations read, row)
+
+    def _normals(self, rngs, mixed):
+        """This iteration's (R, n_normals) normals; mixed when it draws
+        uniforms too."""
+        if self.pos == self.ahead.shape[1]:
+            end = min((e for e in self.ends if e > self.i), default=self.i)
+            k = READ_AHEAD_BYTES // (8 * len(rngs) * self.n_normals)
+            k = 1 if mixed else max(1, min(k, end - self.i))
+            self.ahead = np.empty((len(rngs), k, self.n_normals))
+            for r, rng in enumerate(rngs):
+                rng.standard_normal(out=self.ahead[r])
+            self.pos = 0
+        self.i += 1
+        self.pos += 1
+        return self.ahead[:, self.pos - 1]
 
     def draw(self, rngs, phases):
         """One iteration's draws, scaled once per phase in phases: one
         DrawBlock each. The phases share their outlier probabilities, so
         they read one layout of normals and uniforms."""
-        R = len(rngs)
-        n, L, c = self.n, self.L, phases[0].c
-        normals = np.empty((R, self.n_normals))
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[r])
-        n_uniforms = sum(math.prod(shape) for name, shape in self.channels
-                         if c[name] > 0)
-        if n_uniforms:
-            uniforms = np.empty((R, n_uniforms))
+        R, c = len(rngs), phases[0].c
+        mixed = [(name, cols) for name, (cols, _) in
+                 zip(("x", "y", "phi"), self.fields[2:]) if c[name] > 0]
+        normals = self._normals(rngs, bool(mixed))
+        outliers, q = [], 0   # name, columns in the row, uniforms
+        if mixed:
+            uniforms = np.empty((R, sum(cols.stop - cols.start
+                                        for _, cols in mixed)))
             for r, rng in enumerate(rngs):
                 rng.random(out=uniforms[r])
-        x_in = normals[:, : n * L].reshape(R, n, L) * self.input_std
-        v_obs = normals[:, n * L : n * L + n] * self.obs_std
-
-        raw = []   # per channel: name, normals, uniforms or None
-        p, q = n * L + n, 0
-        for name, shape in self.channels:
-            size = math.prod(shape)
-            z = normals[:, p : p + size].reshape((R,) + shape)
-            p += size
-            u = None
-            if c[name] > 0:
-                u = uniforms[:, q : q + size].reshape((R,) + shape)
-                q += size
-            raw.append((name, z, u))
-        return [DrawBlock(x_in, v_obs, *(
-            mixture_draws(z, u, ph.c[name], ph.std_a[name], ph.std_b[name])
-            for name, z, u in raw)) for ph in phases]
+        for name, cols in mixed:
+            size = cols.stop - cols.start
+            outliers.append((name, cols, uniforms[:, q : q + size]))
+            q += size
+        blocks = []
+        for ph in phases:
+            row = mixture_draws(normals, ph.scale, [
+                (cols, u, ph.c[name], ph.std_b[name])
+                for name, cols, u in outliers])
+            blocks.append(DrawBlock(*(row[:, cols].reshape((R,) + shape)
+                                      for cols, shape in self.fields)))
+        return blocks
 
 
 @dataclass
@@ -295,11 +333,16 @@ class _Variant:
         self.sq_node = (np.empty((R, iterations, n)) if record_per_node
                         else None)
         self.beta_sum_err = 0.0
+        # |w| <= |w - h| + |h|, so a state within this squared distance
+        # of h has every node norm below DIVERGENCE_NORM, with one unit
+        # of slack for rounding; -1 when no such radius exists
+        r = DIVERGENCE_NORM - float(np.sqrt(self.h @ self.h)) - 1.0
+        self.safe_sq = r * r if r > 0 else -1.0
 
     def step(self, i, ph, d, X, y, Xs, ys):
         """One adapt-then-combine iteration on the group's shared draws."""
         algo, W = self.algo, self.W
-        ls, h = self.links, self.h
+        ls = self.links
         src, dst, starts = ls.src, ls.dst, ls.seg_starts
         est = algo.estimator
 
@@ -318,13 +361,16 @@ class _Variant:
             else:
                 gc = lms_gradient(Wd, Xs, ys)
             g = np.concatenate((gc, g_node), axis=1).take(ls.perm, axis=1)
-            phi = W + self.mu3 * np.add.reduceat(self.alpha3 * g, starts,
-                                                 axis=1)
+            g *= self.alpha3
+            phi = np.add.reduceat(g, starts, axis=1)
+            phi *= self.mu3
+            phi += W
         else:
             phi = W + self.mu3 * g_node
 
         if algo.shares_phi:
-            phis = phi.take(src, axis=1) + d.nphi
+            phis = phi.take(src, axis=1)
+            phis += d.nphi
             if algo.adaptive_combination:
                 gn = np.sqrt(np.einsum("rnl,rnl->rn", g_node, g_node))
                 scale = self.mu[None, :] / (gn + algo.epsilon)
@@ -341,27 +387,33 @@ class _Variant:
                     sums = np.add.reduceat(beta, starts, axis=1)
                     err = float(np.abs(sums[self.active] - 1.0).max())
                     self.beta_sum_err = max(self.beta_sum_err, err)
-                beta = beta[..., None]
+                phis *= beta[..., None]
             else:
-                beta = self.cfix3
-            W_new = np.add.reduceat(beta * phis, starts, axis=1)
+                phis *= self.cfix3
+            W_new = np.add.reduceat(phis, starts, axis=1)
         else:
             W_new = phi
+        self.record(i, W_new)
 
-        node_norm2 = np.einsum("rnl,rnl->rn", W_new, W_new)
-        # False for nan and inf too, so this is also the finiteness check
-        ok = node_norm2.max(axis=1) <= DIVERGENCE_NORM**2
-        newly_bad = self.active & ~ok
-        if newly_bad.any():
-            self.diverged_at[newly_bad] = i
+    def record(self, i, W_new):
+        """Take W_new as the state of every active run, mark the runs it
+        diverges, and record the squared errors of the state."""
+        active = self.active.all()
+        if active:
+            diff = W_new - self.h
+            sq = np.einsum("rnl,rnl->rn", diff, diff)
+        # within the safe radius no node norm can pass the bound; the
+        # comparisons are False for nan and inf too
+        if not (active and sq.max() <= self.safe_sq):
+            node_norm2 = np.einsum("rnl,rnl->rn", W_new, W_new)
+            ok = node_norm2.max(axis=1) <= DIVERGENCE_NORM**2
+            self.diverged_at[self.active & ~ok] = i
             self.active &= ok
-        if self.active.all():
-            W = self.W = W_new
-        else:
-            W = self.W = np.where(self.active[:, None, None], W_new, W)
-
-        diff = W - h
-        sq = np.einsum("rnl,rnl->rn", diff, diff)
+            if not self.active.all():
+                W_new = np.where(self.active[:, None, None], W_new, self.W)
+            diff = W_new - self.h
+            sq = np.einsum("rnl,rnl->rn", diff, diff)
+        self.W = W_new
         self.sq_net[:, i] = sq.sum(axis=1)
         if self.sq_node is not None:
             self.sq_node[:, i, :] = sq
@@ -397,8 +449,7 @@ def simulate_group(problem, algos, run_indices, iterations,
 
     # each distinct set of noise phases, the problem's first, maps to
     # its _PhaseParams and the variants that read it
-    obs_var = problem.obs_std() ** 2
-    groups = {phases: ([_PhaseParams.build(s, spec, ls, obs_var)
+    groups = {phases: ([_PhaseParams.build(s, spec, problem)
                         for s, spec in phases], [])
               for phases in dict.fromkeys((problem.noise_phases,
                                            *noise_phases))}
@@ -412,7 +463,7 @@ def simulate_group(problem, algos, run_indices, iterations,
     for v, phases in zip(variants, noise_phases, strict=True):
         groups[phases][1].append(v)
     groups = [g for g in groups.values() if g[1]]
-    drawer = _Drawer(problem)
+    drawer = _Drawer(problem, iterations)
     rngs = [problem.run_rng(r) for r in run_indices]
     schedule = [[k for k, (s, _) in enumerate(layouts[0]) if s <= i][-1]
                 for i in range(iterations)]

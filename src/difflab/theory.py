@@ -10,7 +10,7 @@ The model has white regressors: node k's input covariance is r_k I.
 Every Hessian block is then a scalar times I and every gradient-noise
 block is a I + b h h^T, so the analysis is exact on (N, N) coefficient
 arrays (TheoryInputs.link_factors). The mean recursion is
-B_hat = M kron I_L with M = diag(1 - mu c) A, and rho is that of M, by
+B_hat = M kron I_L with M = diag(1 - mu c) C, and rho is that of M, by
 a dense N x N eigensolve. The MSD series is still summed on NL x NL
 matrices, by Smith doubling (R. A. Smith, 1968); see steady_state_msd.
 
@@ -140,8 +140,9 @@ def _curvature(inputs):
 
 
 def _mean_matrix(inputs):
-    """M = diag(1 - mu c) A, so that B_hat = M kron I_L."""
-    return (1.0 - inputs.mu * _curvature(inputs))[:, None] * inputs.A
+    """M = diag(1 - mu c) C, so that B_hat = M kron I_L: each node adapts
+    with A (c), then combines with C."""
+    return (1.0 - inputs.mu * _curvature(inputs))[:, None] * inputs.C
 
 
 def stepsize_upper_bound(inputs):
@@ -160,19 +161,19 @@ def stepsize_upper_bound(inputs):
 def _noise_coefficients(inputs):
     """(X, Y) with V + R_script = X kron I_L + Y kron h h^T.
 
-    X = diag(v) + A^T diag(x) A and Y = -A^T diag(y) A, where v_p sums
+    X = diag(v) + C^T diag(x) C and Y = -C^T diag(y) C, where v_p sums
     the weight-channel noise C_lp^2 sigma_phi2 over the cross links
     into p, x_p = sum_l (alpha_lp mu_p)^2 (q_r r_l + q_i) and
     y_p = sum_l (alpha_lp mu_p)^2 q_h.
     """
     mask, _, q_r, q_i, q_h = inputs.link_factors
-    A = inputs.A
-    w = (A * inputs.mu) ** 2          # alpha_lp^2 mu_p^2
+    C = inputs.C
+    w = (inputs.A * inputs.mu) ** 2   # alpha_lp^2 mu_p^2
     x = (w * (q_r * inputs.input_var[:, None] + q_i)).sum(axis=0)
     y = (w * q_h).sum(axis=0)
     cross = mask & ~np.eye(inputs.n_nodes, dtype=bool)
-    v = np.where(cross, inputs.C ** 2 * inputs.sigma_phi2, 0.0).sum(axis=0)
-    return np.diag(v) + A.T @ (x[:, None] * A), -A.T @ (y[:, None] * A)
+    v = np.where(cross, C ** 2 * inputs.sigma_phi2, 0.0).sum(axis=0)
+    return np.diag(v) + C.T @ (x[:, None] * C), -C.T @ (y[:, None] * C)
 
 
 def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
@@ -200,7 +201,7 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
     eye = np.eye(inputs.dim)
     S = np.kron(X, eye) + np.kron(Y, np.outer(inputs.h, inputs.h))
     P = np.kron(M, eye)
-    # rho(M) a rounding error below 1 (say M = A when mu c is 0) can let
+    # rho(M) a rounding error below 1 (say M = C when mu c is 0) can let
     # P^(2^s) grow past the float range; the increment is then not finite.
     # The norm alone may overflow on finite entries, so the test is on inc.
     with np.errstate(over="ignore", invalid="ignore"):

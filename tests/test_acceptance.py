@@ -332,8 +332,7 @@ def test_criterion_8_reductions():
 
     # reference: each node filtered on its own, coupled to nothing,
     # consuming the same per-run draw stream
-    phases = [_PhaseParams.build(s, spec, problem.links,
-                                 problem.obs_std() ** 2)
+    phases = [_PhaseParams.build(s, spec, problem)
               for s, spec in problem.noise_phases]
     drawer = _Drawer(problem)
     rngs = [problem.run_rng(r) for r in runs]

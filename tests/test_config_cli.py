@@ -449,11 +449,12 @@ def test_cli_theory_fig1_skips_unmodeled_estimators(tmp_path, capsys):
     assert "dmcc.skipped=cross_link_estimator" in lines
     assert not [ln for ln in lines
                 if ln.startswith(("dlms.", "dmcc.")) and "skipped" not in ln]
-    # the modeled algorithms print what they printed before the gate
+    # the modeled algorithms' bounds and predictions; dmtc-ds shares no
+    # weights, so its mean recursion combines with C = I
     for line in ("noncoop-lms.mu_bound.node0=2", "noncoop-lms.rho=0.9",
                  "noncoop-lms.msd_db=-16.766936",
-                 "dmtc-ds.mu_bound.node0=2.04465", "dmtc-ds.rho=0.95992983",
-                 "dmtc-ds.msd_db=-32.108252"):
+                 "dmtc-ds.mu_bound.node0=2.04465", "dmtc-ds.rho=0.96196371",
+                 "dmtc-ds.msd_db=-23.606570"):
         assert line in lines
 
 
@@ -552,6 +553,26 @@ def test_cli_compare(tmp_path, capsys):
     text = (out / "compare_report.txt").read_text()
     assert text.startswith("algorithm=dmtc")
     assert "gap_db=" in text
+
+
+@pytest.mark.parametrize("share_data, share_weights", [
+    ("true", "true"), ("true", "false"), ("false", "true"),
+    ("false", "false")])
+def test_cli_compare_gap_over_sharing_patterns(share_data, share_weights,
+                                               tmp_path, capsys):
+    # the closed form adapts with A and combines with C, as the simulator
+    # does: at 32 runs of compare.cfg every pattern is within criterion
+    # 6's 2 dB, also where A and C differ (data only, weights only)
+    out = tmp_path / "out"
+    code = cli.main(["compare", "--config", COMPARE_CFG, "--out", str(out),
+                     "--runs", "32", "--jobs", "2",
+                     "--set", f"algorithms.0.share_data={share_data}",
+                     "--set", f"algorithms.0.share_weights={share_weights}"])
+    assert code == cli.EXIT_OK
+    report = dict(line.split("=", 1) for line in
+                  (out / "compare_report.txt").read_text().splitlines())
+    assert report["diverged_runs"] == "0"
+    assert abs(float(report["gap_db"])) <= 2.0
 
 
 def test_cli_compare_refuses_all_outlier_link_noise(tmp_path, capsys):
@@ -736,20 +757,35 @@ _INTEGER_KEYS = ["simulation.runs", "graph.nodes", "graph.seed",
                  "algorithms.0.zeta2.switch_iteration"]
 
 
+def _estimator_swap(estimator):
+    """Overrides that give algorithm 0 this estimator and the kernel
+    schedule it reads: mcc gets an mcc_kernel2, lms and gdtls drop the
+    zeta2 that compare.cfg's mtc carries, and mtc keeps its own."""
+    pairs = [("algorithms.0.estimator", estimator)]
+    if estimator in ("lms", "mcc", "gdtls"):
+        pairs.append(("algorithms.0.zeta2", "null"))
+    if estimator == "mcc":
+        pairs.append(("algorithms.0.mcc_kernel2", "0.9"))
+    return pairs
+
+
 def _overrides(noise_keys, floats, estimators, flags, integers, h_min):
-    """(key, YAML value) pairs, one branch per kind of key."""
+    """Lists of (key, YAML value) pairs, one branch per kind of key; all
+    but the estimator swap give one pair."""
+    def one(pairs):
+        return pairs.map(lambda pair: [pair])
     return st.one_of(
-        st.tuples(st.sampled_from(noise_keys), floats),
-        st.tuples(st.just("algorithms.0.estimator"),
-                  st.sampled_from(estimators)),
-        st.tuples(st.sampled_from(_FLAG_KEYS), st.sampled_from(flags)),
-        st.tuples(st.sampled_from(_REAL_KEYS), floats),
-        st.tuples(st.just("algorithms.0.step_size"), st.lists(
+        one(st.tuples(st.sampled_from(noise_keys), floats)),
+        st.sampled_from(estimators).map(_estimator_swap),
+        one(st.tuples(st.sampled_from(_FLAG_KEYS), st.sampled_from(flags))),
+        one(st.tuples(st.sampled_from(_REAL_KEYS), floats)),
+        one(st.tuples(st.just("algorithms.0.step_size"), st.lists(
             st.floats(1e-6, 2.0).map(_yaml_scalar), min_size=1,
-            max_size=12).map(_yaml_list)),
-        st.tuples(st.just("signal.h"), st.lists(
-            floats, min_size=h_min, max_size=3).map(_yaml_list)),
-        st.tuples(st.sampled_from(_INTEGER_KEYS), st.sampled_from(integers)),
+            max_size=12).map(_yaml_list))),
+        one(st.tuples(st.just("signal.h"), st.lists(
+            floats, min_size=h_min, max_size=3).map(_yaml_list))),
+        one(st.tuples(st.sampled_from(_INTEGER_KEYS),
+                      st.sampled_from(integers))),
     )
 
 
@@ -768,10 +804,11 @@ def _preset_overrides(noise_keys):
     override in ten comes from _ANY_OVERRIDE; the rest take values that
     the casts accept and that are mostly in range, so that most examples
     get past parsing and reach the simulator."""
-    taken = _overrides(noise_keys, _TAKEN_FLOAT, ["lms", "gdtls"],
+    taken = _overrides(noise_keys, _TAKEN_FLOAT, ["lms", "mcc", "gdtls"],
                        ["true", "false", "null"], ["12", "12.0"], 1)
     return st.lists(st.integers(0, 9).flatmap(
-        lambda k: _ANY_OVERRIDE if k == 0 else taken), max_size=6)
+        lambda k: _ANY_OVERRIDE if k == 0 else taken), max_size=6).map(
+            lambda groups: [pair for group in groups for pair in group])
 
 
 @settings(max_examples=150, deadline=None)

@@ -136,7 +136,7 @@ THEORY_DIGESTS = {
     ("compare.cfg", ("graph.nodes=100",)):
         "216d15a2eb40a8b8a941aefb3dc9e39c84c1045dd2baff22525bbb9580a87215",
     ("fig1.cfg", ()):
-        "b0143a1cb8b3a3fc197ffb8f7be08864c625dbb3e3b709078586275c8d7b4319",
+        "96a3a9bdbddf0c4c472acc0802b576fee7a18030e975f739a93eb12612068c56",
     ("compare.cfg", ("signal.observation_variance="
                      "[0.1,0.2,0.05,0.3,0.1,0.1,0.2,0.4,0.1,0.15]",)):
         "6923a0fa22b915aecbaa4b87a812e3f060814cc94a5e0eebf1cabf3cbbb164bb",

@@ -22,8 +22,9 @@ def test_gmm_spec_validation():
 
 def sample(spec, rng, size):
     """Mixture samples through the simulator's scaling primitive."""
-    return mixture_draws(rng.standard_normal(size), rng.random(size), spec.c,
-                         np.sqrt(spec.sigma_a2), np.sqrt(spec.sigma_b2))
+    return mixture_draws(rng.standard_normal(size), np.sqrt(spec.sigma_a2),
+                         [(slice(None), rng.random(size), spec.c,
+                           np.sqrt(spec.sigma_b2))])
 
 
 def test_degenerate_mixtures():
@@ -57,7 +58,7 @@ def test_drawer_self_links_noiseless():
     spec = LinkNoiseSpec(x=mixed, y=mixed, phi=mixed)
     problem = NetworkProblem(graph, np.ones(3), w, ((0, spec),), obs_var=0.1)
     ls = problem.links
-    phase = _PhaseParams.build(0, spec, ls, problem.obs_std() ** 2)
+    phase = _PhaseParams.build(0, spec, problem)
     rngs = [problem.run_rng(r) for r in range(4)]
     d, = _Drawer(problem).draw(rngs, [phase])
     for noise in (d.nx, d.ny, d.nphi):
@@ -68,8 +69,7 @@ def test_drawer_self_links_noiseless():
 def test_mixture_draws_per_link_scales():
     rng = np.random.default_rng(5)
     std = np.array([0.2, 0.5, 1.0, 0.0])
-    draws = mixture_draws(rng.standard_normal((250_000, 4)), None, 0.0,
-                          std, 10 * std)
+    draws = mixture_draws(rng.standard_normal((250_000, 4)), std)
     assert np.allclose(draws.var(axis=0), std ** 2, rtol=0.03)
     assert (draws[:, 3] == 0.0).all()
 

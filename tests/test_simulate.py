@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from difflab.config import parse_config
+from difflab import simulate
 from difflab.engine import AlgorithmSpec, KernelSchedule
 from difflab.errors import InvalidArgumentError
+from difflab.harness import _substitute
 from difflab.noise import GmmSpec, LinkNoiseSpec
 from difflab.simulate import (
+    DIVERGENCE_NORM,
     NetworkProblem,
     _Drawer,
     _PhaseParams,
@@ -64,7 +67,7 @@ VARIANTS = [
 def reference_sq_net(problem, algo, run_index, iterations):
     """Per-iteration network squared error via the per-node reference path."""
     ls = problem.links
-    phases = [_PhaseParams.build(s, spec, ls, problem.obs_std() ** 2)
+    phases = [_PhaseParams.build(s, spec, problem)
               for s, spec in problem.noise_phases]
     drawer = _Drawer(problem)
     rngs = [problem.run_rng(run_index)]
@@ -308,3 +311,148 @@ def test_group_refuses_phases_that_read_other_draws(phases):
     with pytest.raises(InvalidArgumentError, match="outlier probabilit"):
         simulate_group(problem, [VARIANTS[1]], [0], 20,
                        noise_phases=[phases])
+
+
+def read_ahead_passes(monkeypatch, problem, algos, runs, iterations,
+                      noise_phases=None, k=4):
+    """The results of the pass with k iterations of normals read ahead
+    per fill and of the pass with none, and the fill sizes of the first."""
+    n_normals = _Drawer(problem).n_normals
+    fills, normals = [], _Drawer._normals
+
+    def spy(self, rngs, mixed):
+        out = normals(self, rngs, mixed)
+        if self.pos == 1:
+            fills[-1].append(self.ahead.shape[1])
+        return out
+    monkeypatch.setattr(_Drawer, "_normals", spy)
+    one = 8 * len(runs) * n_normals
+    results = []
+    for budget in (k * one + one - 1, one):
+        monkeypatch.setattr(simulate, "READ_AHEAD_BYTES", budget)
+        fills.append([])
+        results.append(simulate_group(problem, algos, runs, iterations,
+                                      noise_phases=noise_phases))
+    assert fills[1] == [1] * iterations
+    return results, fills[0]
+
+
+def test_read_ahead_is_bit_exact_across_the_mixture_switch(monkeypatch):
+    # fig1 with its mixture phase from iteration 6, inside the second
+    # block of four: the block stops short of it, and the mixture
+    # iterations, which draw uniforms, fill one iteration each
+    fig1 = os.path.join(os.path.dirname(__file__), "..", "presets", "fig1.cfg")
+    cfg = parse_config(fig1, (("noise.after.switch_iteration", 6),))
+    problem = cfg.build_problem()
+    (ahead, single), fills = read_ahead_passes(
+        monkeypatch, problem, cfg.algorithms, [0, 3, 4], 12)
+    assert fills == [4, 2] + [1] * 6
+    for a, b in zip(ahead, single):
+        assert_same_result(a, b)
+
+
+def test_read_ahead_is_bit_exact_on_a_sweep(monkeypatch):
+    # fig2a's five swept noise sets in one pass, the mixture phase from
+    # iteration 6; the last Gaussian block ends at the pass's end when
+    # the pass stops first
+    fig2a = os.path.join(os.path.dirname(__file__), "..", "presets",
+                         "fig2a.cfg")
+    cfg = parse_config(fig2a, (("noise.after.switch_iteration", 6),))
+    param, values = cfg.sweep
+    subs = [_substitute(cfg, param, v) for v in values]
+    algos = [a for sub in subs for a in sub.algorithms]
+    sets = [sub.noise_phases for sub in subs for _ in sub.algorithms]
+    assert len(set(sets)) == 5
+    problem = cfg.build_problem()
+    for iterations, first in ((9, [4, 2, 1, 1, 1]), (3, [3])):
+        (ahead, single), fills = read_ahead_passes(
+            monkeypatch, problem, algos, [1, 2], iterations,
+            noise_phases=sets)
+        assert fills == first
+        for a, b in zip(ahead, single):
+            assert_same_result(a, b)
+
+
+def exact_divergence_rule(states, h):
+    """diverged_at, the sq_net record and the final state of a pass whose
+    variant proposes these states, by the node-norm rule: a run diverges
+    at the first proposal with a node norm past DIVERGENCE_NORM or not
+    finite, and keeps its last good state from then on."""
+    W = np.zeros_like(states[0])
+    active = np.ones(W.shape[0], dtype=bool)
+    diverged_at = np.full(W.shape[0], -1)
+    record = []
+    for i, W_new in enumerate(states):
+        ok = (np.einsum("rnl,rnl->rn", W_new, W_new).max(axis=1)
+              <= DIVERGENCE_NORM**2)
+        diverged_at[active & ~ok] = i
+        active &= ok
+        W = np.where(active[:, None, None], W_new, W)
+        diff = W - h
+        record.append(np.einsum("rnl,rnl->rn", diff, diff).sum(axis=1))
+    return diverged_at, np.stack(record, axis=1), W
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, np.nextafter(DIVERGENCE_NORM, np.inf)],
+    [0.0, 999_999.5, -999_999.9],
+    [0.0, 2e6, np.inf, np.nan, 999_999.5],
+], ids=["rounding", "outside-safe-radius", "past-the-bound"])
+def test_divergence_follows_the_node_norm_rule(values):
+    # one node of each run proposes a crafted value, the others h. With
+    # h = 2^-34, nextafter(1e6) sits exactly at 1e6 from h after
+    # rounding, though its own norm is past 1e6: only the slack in the
+    # safe radius sends it to the node-norm rule
+    graph = generate_random_graph(5, 3, seed=3)
+    h = np.array([2.0**-34])
+    problem = NetworkProblem(graph, h, metropolis_weights(graph),
+                             ((0, LinkNoiseSpec()),))
+    R = len(values)
+    states = [np.full((R, 5, 1), h[0]) for _ in range(2)]
+    states[0][:, 2, 0] = values
+    v = _Variant(problem, VARIANTS[1], R, 2, record_per_node=False)
+    for i, W_new in enumerate(states):
+        v.record(i, W_new.copy())
+    diverged_at, sq_net, W = exact_divergence_rule(states, h)
+    assert (v.diverged_at == diverged_at).all()
+    assert v.sq_net.tobytes() == sq_net.tobytes()
+    assert v.W.tobytes() == W.tobytes()
+
+
+def test_divergence_in_a_pass_follows_the_node_norm_rule(monkeypatch):
+    # |h| = 6e5, so every run starts outside the safe radius. dlms
+    # converges without diverging; a noncooperative node past the LMS
+    # stability bound diverges in some runs, at run-dependent
+    # iterations; two neighbours of node 0 with a step of 1e303 go to
+    # inf, and node 0 combines them to nan where their signs differ
+    problem = replace(make_problem(gmm_after=False),
+                      h=H * 6e5 / np.linalg.norm(H))
+    nbrs = np.flatnonzero(problem.graph.closed[0])[1:3]
+    huge = np.full(5, 0.1)
+    huge[nbrs] = 1e303
+    algos = [VARIANTS[1],
+             AlgorithmSpec("shaky", share_data=False, share_weights=False,
+                           step_size=[0.1, 0.1, 0.4, 0.1, 0.1]),
+             AlgorithmSpec("overflow", step_size=list(huge))]
+    proposed = {a.name: [] for a in algos}
+    record = _Variant.record
+
+    def spy(self, i, W_new):
+        proposed[self.algo.name].append(W_new.copy())
+        return record(self, i, W_new)
+    monkeypatch.setattr(_Variant, "record", spy)
+    runs = list(range(8))
+    results = simulate_group(problem, algos, runs, 40)
+    for algo, res in zip(algos, results):
+        diverged_at, sq_net, W = exact_divergence_rule(proposed[algo.name],
+                                                       problem.h)
+        assert (res.diverged_at == diverged_at).all()
+        assert res.sq_net.tobytes() == sq_net.tobytes()
+        assert res.final_w.tobytes() == W.tobytes()
+    stable, shaky, overflow = results
+    assert (stable.diverged_at == -1).all()
+    assert (shaky.diverged_at > 0).any() and (shaky.diverged_at == -1).any()
+    assert (overflow.diverged_at == 0).all()
+    first = proposed["overflow"][0][:, 0]
+    assert np.isnan(first).any(axis=1).any()
+    assert np.isinf(first).any(axis=1).any()

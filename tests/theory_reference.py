@@ -67,12 +67,12 @@ def gradient_covariance(inputs, l, k):
 
 
 def mean_recursion_by_links(inputs):
-    """B_hat = (I + M_script H_script) A_script, one link at a time."""
+    """B_hat = (I + M_script H_script) C_script, one link at a time."""
     L = inputs.dim
     M_script = np.kron(np.diag(inputs.mu), np.eye(L))
     D = np.eye(inputs.n_nodes * L) + M_script @ block_diag_hessian_by_links(
         inputs)
-    return D @ np.kron(inputs.A, np.eye(L))
+    return D @ np.kron(inputs.C, np.eye(L))
 
 
 def _rho(m):
@@ -148,7 +148,7 @@ def block_diag_hessian_by_links(inputs):
 def noise_drivers_by_links(inputs):
     """(V_script, R_script), one link at a time."""
     n, L = inputs.n_nodes, inputs.dim
-    A_script = np.kron(inputs.A, np.eye(L))
+    C_script = np.kron(inputs.C, np.eye(L))
     M_script = np.kron(np.diag(inputs.mu), np.eye(L))
     C_blocks = np.zeros((n * L, n * L))
     V = np.zeros((n * L, n * L))
@@ -165,4 +165,4 @@ def noise_drivers_by_links(inputs):
                     vcoef += b * b * inputs.sigma_phi2
         C_blocks[p * L:(p + 1) * L, p * L:(p + 1) * L] = blk
         V[p * L:(p + 1) * L, p * L:(p + 1) * L] = vcoef * np.eye(L)
-    return V, A_script.T @ M_script @ C_blocks @ M_script.T @ A_script
+    return V, C_script.T @ M_script @ C_blocks @ M_script.T @ C_script

@@ -11,8 +11,8 @@ Every Hessian block is then a scalar times I and every gradient-noise
 block is a I + b h h^T, so the analysis is exact on (N, N) coefficient
 arrays (TheoryInputs.link_factors). The mean recursion is
 B_hat = M kron I_L with M = diag(1 - mu c) C, and rho is that of M, by
-a dense N x N eigensolve. The MSD series is still summed on NL x NL
-matrices, by Smith doubling (R. A. Smith, 1968); see steady_state_msd.
+a dense N x N eigensolve. The MSD series is summed by Smith doubling
+(R. A. Smith, 1968) on (N, N) coefficient pairs; see steady_state_msd.
 
 All blocks are the exact expectations of the gradient estimators the
 simulator runs, so predicted and simulated dynamics share one step-size
@@ -176,18 +176,28 @@ def _noise_coefficients(inputs):
     return np.diag(v) + C.T @ (x[:, None] * C), -C.T @ (y[:, None] * C)
 
 
+def _lifted_norm(X, Y, dim, hh):
+    """Frobenius norm of X kron I_L + Y kron h h^T (L = dim, hh = |h|^2).
+    With Pi = h h^T / hh it is X kron (I - Pi) + (X + hh Y) kron Pi, two
+    orthogonal terms, so its square L|X|^2 + 2 hh <X, Y> + hh^2 |Y|^2 is
+    summed as (L - 1)|X|^2 + |X + hh Y|^2, where nothing cancels."""
+    return float(np.hypot(np.sqrt(dim - 1) * np.linalg.norm(X),
+                          np.linalg.norm(X + hh * Y)))
+
+
 def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
-    """Steady-state network MSD by Smith doubling.
+    """Steady-state network MSD by Smith doubling on (N, N) pairs.
 
     MSD = (1/N) vec{V + R}^T (I - F)^{-1} vec{I} with
     F = (B_hat kron B_hat), B_hat = M kron I_L (_mean_matrix). Equivalently
-    Tr(T) = N * MSD for T = sum_{j>=0} B_hat^T^j (V + R) B_hat^j. Starting
-    from S = V + R (_noise_coefficients) and P = B_hat, both NL x NL,
-    each squaring sets S <- S + P^T S P and then P <- P^2, so after s
-    squarings S holds the first 2^s terms.
+    Tr(T) = N * MSD for T = sum_{j>=0} B_hat^T^j (V + R) B_hat^j. As
+    V + R = X kron I_L + Y kron h h^T (_noise_coefficients) and B_hat^T
+    (X kron I + Y kron h h^T) B_hat = M^T X M kron I + M^T Y M kron h h^T,
+    each squaring adds M^T (X, Y) M to (X, Y), then sets M <- M^2. After
+    s squarings (X, Y) holds 2^s terms, and Tr(T) = L tr X + |h|^2 tr Y.
 
-    tol bounds the Frobenius norm of the last increment P^T S P; cap is
-    the number of squarings allowed before NumericalFailureError.
+    tol bounds the Frobenius norm of T's last increment (_lifted_norm);
+    cap is the number of squarings allowed before NumericalFailureError.
     iterations_used counts the squarings. rho is the spectral radius of
     the mean recursion B = B_hat^T, which is rho(M); InstabilityError
     carries it when rho >= 1.
@@ -198,25 +208,25 @@ def steady_state_msd(inputs, tol=MSD_DOUBLING_TOL, cap=MSD_DOUBLING_CAP):
         raise InstabilityError(
             f"mean recursion is unstable (rho = {rho:.6g} >= 1)", rho)
     X, Y = _noise_coefficients(inputs)
-    eye = np.eye(inputs.dim)
-    S = np.kron(X, eye) + np.kron(Y, np.outer(inputs.h, inputs.h))
-    P = np.kron(M, eye)
+    dim, hh = inputs.dim, float(inputs.h @ inputs.h)
     # rho(M) a rounding error below 1 (say M = C when mu c is 0) can let
-    # P^(2^s) grow past the float range; the increment is then not finite.
-    # The norm alone may overflow on finite entries, so the test is on inc.
+    # M^(2^s) grow past the float range; the increment is then not finite.
+    # The norm alone may overflow on finite entries, so the test is on the
+    # increments.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
-            inc = P.T @ S @ P
-            S = S + inc
-            delta = float(np.linalg.norm(inc))
+            inc_x, inc_y = M.T @ X @ M, M.T @ Y @ M
+            X, Y = X + inc_x, Y + inc_y
+            delta = _lifted_norm(inc_x, inc_y, dim, hh)
             if delta < tol:
-                msd = float(np.trace(S)) / inputs.n_nodes
+                msd = (dim * float(np.trace(X))
+                       + hh * float(np.trace(Y))) / inputs.n_nodes
                 return MsdPrediction(
                     msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, rho,
                     it)
-            if not np.isfinite(inc).all():
+            if not (np.isfinite(inc_x).all() and np.isfinite(inc_y).all()):
                 break
-            P = P @ P
+            M = M @ M
     raise NumericalFailureError(
         f"MSD doubling did not converge in {it} squarings "
         f"(last increment {delta:.3g})"

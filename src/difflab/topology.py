@@ -47,10 +47,6 @@ class NetworkGraph:
         if not self.is_connected():
             raise InvalidArgumentError("graph is not connected")
 
-    def neighborhood(self, k):
-        """Closed neighborhood N_k: the neighbors of k plus k, sorted."""
-        return np.flatnonzero(self.closed[:, k]).tolist()
-
     def degrees(self):
         """(N,) neighbor counts, self excluded."""
         return self.closed.sum(axis=0) - 1
@@ -137,14 +133,6 @@ def validate_combination_matrix(matrix, graph):
             raise InvalidArgumentError(f"weights violate {constraint} at {at}")
 
 
-def save_edge_list(graph, path):
-    """Write the plain-text edge-list format: 'N <n>' then '<u> <v>' lines."""
-    with open(path, "w") as fh:
-        fh.write(f"N {graph.n_nodes}\n")
-        for u, v in sorted(graph.edges):
-            fh.write(f"{u} {v}\n")
-
-
 def _edge_list_int(path, token):
     try:
         return int(token)
@@ -154,8 +142,8 @@ def _edge_list_int(path, token):
 
 
 def load_edge_list(path):
-    """Parse the edge-list format written by save_edge_list; a line that
-    repeats an edge, in either direction, adds nothing."""
+    """Parse an edge list, 'N <n_nodes>' then a '<u> <v>' line per edge;
+    blank lines, and repeats of an edge either way round, add nothing."""
     try:
         with open(path) as fh:
             lines = [ln.split() for ln in fh if ln.strip()]

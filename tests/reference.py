@@ -22,6 +22,12 @@ from difflab.topology import metropolis_weights
 BETA_SUM_TOL = 1e-9
 
 
+def neighborhood(graph, k):
+    """Closed neighborhood N_k of a NetworkGraph: the neighbors of k plus
+    k, sorted."""
+    return np.flatnonzero(graph.closed[:, k]).tolist()
+
+
 @dataclass(frozen=True)
 class SharedSample:
     """One (regressor, output) pair as received over a link."""
@@ -156,7 +162,7 @@ def initial_states(problem):
     beta0 = metropolis_weights(problem.graph)
     states = []
     for k in range(problem.n_nodes):
-        nbrs = problem.graph.neighborhood(k)
+        nbrs = neighborhood(problem.graph, k)
         states.append(NodeState(
             w=np.zeros(problem.dim),
             delta2={l: 1.0 for l in nbrs},

@@ -1,7 +1,9 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflab.config import parse_config
 from difflab.errors import (
@@ -13,6 +15,7 @@ from difflab.harness import theory_inputs
 from difflab.theory import (
     TheoryInputs,
     _curvature,
+    _lifted_norm,
     _mean_matrix,
     _noise_coefficients,
     steady_state_msd,
@@ -34,6 +37,7 @@ from theory_reference import (
     mean_recursion_matrix,
     noise_drivers_by_links,
     steady_state_msd_bruteforce,
+    steady_state_msd_kron,
 )
 
 COMPARE_CFG = os.path.join(os.path.dirname(__file__), "..", "presets",
@@ -323,3 +327,55 @@ def test_vectorized_blocks_match_per_link_sums(share_data):
     np.testing.assert_allclose(
         np.kron(X, eye) + np.kron(Y, np.outer(ti.h, ti.h)), V_ref + R_ref,
         **tol)
+
+
+def compare_inputs(n_nodes):
+    cfg = parse_config(COMPARE_CFG, [("graph.nodes", n_nodes)])
+    return theory_inputs(cfg.build_problem(), cfg.algorithms[0])
+
+
+@pytest.mark.parametrize("case", ["shared", "unshared", 10, 50, 100])
+def test_doubling_matches_kron_oracle(case):
+    # the (N, N) pair doubling against the same squarings on NL x NL
+    if isinstance(case, int):
+        ti = compare_inputs(case)
+    else:
+        ti = random_network_inputs(np.random.default_rng(21),
+                                   share_data=case == "shared")
+    fast = steady_state_msd(ti)
+    lifted = steady_state_msd_kron(ti)
+    assert fast.iterations_used == lifted.iterations_used
+    assert fast.rho == lifted.rho
+    assert fast.msd_linear == pytest.approx(lifted.msd_linear, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_lifted_norm_matches_kron(n, L, seed, cancel):
+    # cancel makes X + |h|^2 Y small, where L = 1 leaves only that term
+    rng = np.random.default_rng(seed)
+    scale_x, scale_y = rng.uniform(1e-3, 1e3, 2)
+    X = scale_x * rng.standard_normal((n, n))
+    Y = scale_y * rng.standard_normal((n, n))
+    h = rng.standard_normal(L)
+    hh = float(h @ h)
+    if cancel:
+        Y = -X / hh + 1e-9 * Y
+    lifted = np.kron(X, np.eye(L)) + np.kron(Y, np.outer(h, h))
+    assert _lifted_norm(X, Y, L, hh) == pytest.approx(
+        float(np.linalg.norm(lifted)), rel=1e-12, abs=1e-300)
+
+
+def test_doubling_builds_no_lifted_matrix():
+    # one NL x NL float64 matrix at N=100, L=4 is 400^2 * 8 B = 1.28 MB;
+    # the whole solve, link factors included, must peak below that
+    ti = compare_inputs(100)
+    nl = ti.n_nodes * ti.dim
+    tracemalloc.start()
+    try:
+        steady_state_msd(ti)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nl * nl * 8

@@ -7,16 +7,32 @@ noise-driver blocks, the mean recursion matrix B and its spectral radius
 by a dense eigensolve (steady_state_msd builds the N x N form of both
 for its stability check and reports rho), the fixed-point MSD
 iteration, which adds one term of the series per step where
-steady_state_msd doubles, the direct (I - F)^{-1} solve with F
+steady_state_msd doubles on (N, N) pairs, the direct (I - F)^{-1} solve with F
 materialized, and the trace decomposition of the noise drivers.
+
+steady_state_msd_kron is the Smith doubling on the lifted NL x NL
+matrices S = X kron I_L + Y kron h h^T and P = M kron I_L, with the
+Frobenius norm and trace of S taken on NL x NL. steady_state_msd runs
+the same squarings on the (N, N) pair (X, Y) alone, and must agree
+with it in its squaring count and, to rounding, in its MSD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from difflab.errors import InvalidArgumentError, NumericalFailureError
-from difflab.theory import MsdPrediction
+from difflab.errors import (
+    InstabilityError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
+from difflab.theory import (
+    MSD_DOUBLING_CAP,
+    MSD_DOUBLING_TOL,
+    MsdPrediction,
+    _mean_matrix,
+    _noise_coefficients,
+)
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,45 @@ def fixed_point_msd(inputs, tol=1e-12, cap=100_000):
         if delta < tol:
             return float(np.trace(T)) / inputs.n_nodes, it
     raise NumericalFailureError(f"fixed point did not converge in {cap}")
+
+
+def steady_state_msd_kron(inputs, tol=MSD_DOUBLING_TOL,
+                          cap=MSD_DOUBLING_CAP):
+    """Steady-state MSD by Smith doubling on the NL x NL lifts of M, X, Y.
+
+    Starting from S = X kron I_L + Y kron h h^T and P = M kron I_L,
+    each squaring sets S <- S + P^T S P and then P <- P^2; tol bounds
+    the Frobenius norm of the last increment, cap the squarings.
+    """
+    M = _mean_matrix(inputs)
+    rho = float(np.abs(np.linalg.eigvals(M)).max())
+    if rho >= 1.0:
+        raise InstabilityError(
+            f"mean recursion is unstable (rho = {rho:.6g} >= 1)", rho)
+    X, Y = _noise_coefficients(inputs)
+    eye = np.eye(inputs.dim)
+    S = np.kron(X, eye) + np.kron(Y, np.outer(inputs.h, inputs.h))
+    P = np.kron(M, eye)
+    # rho(M) a rounding error below 1 (say M = C when mu c is 0) can let
+    # P^(2^s) grow past the float range; the increment is then not finite.
+    # The norm alone may overflow on finite entries, so the test is on inc.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cap + 1):
+            inc = P.T @ S @ P
+            S = S + inc
+            delta = float(np.linalg.norm(inc))
+            if delta < tol:
+                msd = float(np.trace(S)) / inputs.n_nodes
+                return MsdPrediction(
+                    msd, 10.0 * np.log10(msd) if msd > 0 else -np.inf, rho,
+                    it)
+            if not np.isfinite(inc).all():
+                break
+            P = P @ P
+    raise NumericalFailureError(
+        f"MSD doubling did not converge in {it} squarings "
+        f"(last increment {delta:.3g})"
+    )
 
 
 def steady_state_msd_bruteforce(inputs):
